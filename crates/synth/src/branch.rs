@@ -7,7 +7,7 @@ use webqa_metrics::Counts;
 
 use crate::extractors::{synthesize_extractors, ExtractorSynthesis, F1_EPS};
 use crate::guards::{propagate_examples, GuardEnumerator};
-use crate::scorer::{Scorer, TaskCtx};
+use crate::scorer::{Scorer, StrTable, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Optimal extractors for one guard, grouped by the token counts they
@@ -28,20 +28,19 @@ pub(crate) type GuardOptions = Arc<ExtractorSynthesis>;
 #[derive(Debug, Clone)]
 pub(crate) struct BranchSynthesis {
     /// `(ψ, E)` pairs: each guard with its optimal extractors, grouped by
-    /// token counts.
+    /// token counts. Never empty; every entry ties on the branch's F₁.
     pub options: Vec<(Guard, GuardOptions)>,
-    /// The optimal F₁ on E⁺.
-    #[allow(dead_code)] // kept for diagnostics and tests
-    pub f1: f64,
-    /// Token counts of a representative optimal branch.
-    #[allow(dead_code)] // diagnostics; the partition fold reads the
-    // per-group counts via `distinct_counts` instead
-    pub counts: Counts,
 }
 
 impl BranchSynthesis {
+    /// The optimal F₁ on E⁺.
+    #[cfg(test)]
+    pub fn f1(&self) -> f64 {
+        self.options[0].1.f1
+    }
+
     /// Number of distinct `(guard, extractor)` branch programs.
-    #[allow(dead_code)] // used by tests and diagnostics
+    #[cfg(test)]
     pub fn program_count(&self) -> usize {
         self.options
             .iter()
@@ -66,31 +65,35 @@ impl BranchSynthesis {
 
 /// Figure 8: synthesizes all optimal branch programs, decomposing guard
 /// from extractor synthesis (or jointly, for the `NoDecomp` ablation).
-/// `pos` / `neg` are indices into the task's example list.
+/// `pos` / `neg` are indices into the task's example list; `table` is
+/// the calling worker's string table, which outlives the branch so its
+/// step memo serves every branch the worker solves.
 ///
 /// Returns `None` when no guard in the bounded space separates E⁺ from E⁻.
 pub(crate) fn synthesize_branch(
     task: &TaskCtx,
+    table: &mut StrTable,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
 ) -> Option<BranchSynthesis> {
     stats.branch_calls += 1;
+    let scorer = Scorer::new(task, table, pos);
     if task.cfg.decompose {
-        synthesize_branch_decomposed(task, pos, neg, stats)
+        synthesize_branch_decomposed(task, scorer, pos, neg, stats)
     } else {
-        synthesize_branch_joint(task, pos, neg, stats)
+        synthesize_branch_joint(task, scorer, pos, neg, stats)
     }
 }
 
 fn synthesize_branch_decomposed(
     task: &TaskCtx,
+    mut scorer: Scorer,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
 ) -> Option<BranchSynthesis> {
     let mut enumerator = GuardEnumerator::new(task, pos, neg);
-    let mut scorer = Scorer::new(task, pos);
     // The NoLazy ablation: drain the enumerator up-front with a bound of
     // 0, so the rising optimum never strengthens locator pruning.
     let mut eager: Option<std::collections::VecDeque<(Guard, usize)>> = if task.cfg.lazy_guards {
@@ -109,7 +112,6 @@ fn synthesize_branch_decomposed(
     };
     let mut opt = 0.0f64;
     let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
-    let mut counts = Counts::default();
     // Footnote 6: branches whose guards share a section locator share the
     // optimal-extractor computation. The memo is indexed by the
     // enumerator's entry id (each entry *is* one locator), so no locator
@@ -188,24 +190,12 @@ fn synthesize_branch_decomposed(
         }
         if synth.f1 > opt + F1_EPS {
             opt = synth.f1;
-            counts = synth.counts;
             options = vec![(guard, synth)];
         } else if (synth.f1 - opt).abs() <= F1_EPS {
-            if options.is_empty() {
-                counts = synth.counts;
-            }
             options.push((guard, synth));
         }
     }
-    if options.is_empty() {
-        None
-    } else {
-        Some(BranchSynthesis {
-            options,
-            f1: opt,
-            counts,
-        })
-    }
+    (!options.is_empty()).then_some(BranchSynthesis { options })
 }
 
 /// The `WebQA-NoDecomp` ablation (Section 8.2): guards and extractors are
@@ -214,6 +204,7 @@ fn synthesize_branch_decomposed(
 /// locator. The result set is identical; only the work differs.
 fn synthesize_branch_joint(
     task: &TaskCtx,
+    mut scorer: Scorer,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
@@ -227,10 +218,8 @@ fn synthesize_branch_joint(
         }
         guards.push(g);
     }
-    let mut scorer = Scorer::new(task, pos);
     let mut opt = 0.0f64;
     let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
-    let mut counts = Counts::default();
     for (guard, eid) in guards {
         if task.cancel.checkpoint() {
             return None;
@@ -248,21 +237,12 @@ fn synthesize_branch_joint(
         let synth = Arc::new(synth);
         if synth.f1 > opt + F1_EPS {
             opt = synth.f1;
-            counts = synth.counts;
             options = vec![(guard, synth)];
         } else if (synth.f1 - opt).abs() <= F1_EPS {
             options.push((guard, synth));
         }
     }
-    if options.is_empty() {
-        None
-    } else {
-        Some(BranchSynthesis {
-            options,
-            f1: opt,
-            counts,
-        })
-    }
+    (!options.is_empty()).then_some(BranchSynthesis { options })
 }
 
 /// Convenience used by tests: solve one branch over a self-contained
@@ -280,7 +260,8 @@ pub(crate) fn synthesize_branch_over(
     let task = TaskCtx::new(cfg, ctx, &all);
     let pos_idx: Vec<usize> = (0..pos.len()).collect();
     let neg_idx: Vec<usize> = (pos.len()..all.len()).collect();
-    synthesize_branch(&task, &pos_idx, &neg_idx, stats)
+    let mut table = StrTable::new(task.steps.len());
+    synthesize_branch(&task, &mut table, &pos_idx, &neg_idx, stats)
 }
 
 #[cfg(test)]
@@ -323,13 +304,13 @@ mod tests {
         let pos = students_examples();
         let mut stats = SynthStats::default();
         let b = synthesize_branch_over(&cfg, &c, &pos, &[], &mut stats).expect("branch");
-        assert!(b.f1 > 0.99, "expected F1≈1, got {}", b.f1);
+        assert!(b.f1() > 0.99, "expected F1≈1, got {}", b.f1());
         assert!(b.program_count() >= 1);
         // Sanity: a returned branch program really achieves that F1.
         let (g, gs) = &b.options[0];
         let prog = webqa_dsl::Program::single(g.clone(), gs.groups[0].1[0].clone());
         let counts = crate::example::program_counts(&c, &pos, &prog);
-        assert!((counts.f1() - b.f1).abs() < 1e-9);
+        assert!((counts.f1() - b.f1()).abs() < 1e-9);
     }
 
     #[test]
@@ -347,7 +328,7 @@ mod tests {
             &mut s2,
         )
         .unwrap();
-        assert!((dec.f1 - joint.f1).abs() < 1e-9);
+        assert!((dec.f1() - joint.f1()).abs() < 1e-9);
         // Decomposition shares extractor synthesis across guards: less work.
         assert!(s1.extractors_enumerated <= s2.extractors_enumerated);
         assert!(s1.locator_memo_hits > 0);
@@ -370,7 +351,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            (lazy.f1 - eager.f1).abs() < 1e-9,
+            (lazy.f1() - eager.f1()).abs() < 1e-9,
             "optimum must not depend on laziness"
         );
         assert!(
@@ -424,8 +405,8 @@ mod tests {
             synthesize_branch_over(&SynthConfig::fast(), &c, &pos, &neg, &mut s_fast).unwrap();
         let slow =
             synthesize_branch_over(&SynthConfig::reference(), &c, &pos, &neg, &mut s_ref).unwrap();
-        assert_eq!(fast.f1, slow.f1);
-        assert_eq!(fast.counts, slow.counts);
+        assert_eq!(fast.f1(), slow.f1());
+        assert_eq!(fast.distinct_counts(), slow.distinct_counts());
         assert_eq!(fast.options.len(), slow.options.len());
         for ((ga, sa), (gb, sb)) in fast.options.iter().zip(&slow.options) {
             assert_eq!(ga, gb);

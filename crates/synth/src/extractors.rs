@@ -11,27 +11,28 @@
 //! Hot-path structure (all semantics-free; `SynthConfig::reference()`
 //! swaps the kernels back to definitional string scoring):
 //!
-//! * outputs flow as shared `Arc<str>` slices, so `Filter` and dedup
-//!   copy pointers, not bytes (atomically counted so the task-level
-//!   production caches can be shared across branch-parallel workers);
-//! * candidates are scored on interned token ids ([`crate::scorer::Scorer`])
-//!   — tokenization happens once per distinct output string per branch;
+//! * outputs flow as dense string ids over the worker's
+//!   [`StrTable`](crate::scorer::StrTable): each distinct string is
+//!   stored and tokenized once, and a production step runs once per
+//!   distinct `(step, string)` — applying it to a candidate is a copy of
+//!   memoized id slices;
+//! * candidates are scored on interned token ids ([`crate::scorer::Scorer`]),
+//!   and dedup and signatures compare ids, never strings;
 //! * child candidates are generated as *production steps* applied to the
 //!   parent's outputs; the `UB = 2R/(1+R)` bound (Eq. 3) is checked
 //!   **before** the child AST exists, so dominated candidates never
 //!   materialize an `Extractor` value at all.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use webqa_dsl::{Extractor, PageNodeId};
 use webqa_metrics::Counts;
 
-use crate::scorer::{OutStr, Scorer, StepOp, TaskCtx};
+use crate::scorer::{Outputs, Scorer, StepOp, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Result of extractor synthesis: all extractors achieving the optimal F₁
-/// (that is ≥ the incoming lower bound), plus that score and its counts.
+/// (that is ≥ the incoming lower bound), plus that score.
 ///
 /// Extractors are *grouped by their token-count vector*: two extractors can
 /// have the same F₁ on a branch's examples but different `(matched,
@@ -47,9 +48,6 @@ pub(crate) struct ExtractorSynthesis {
     pub groups: Vec<(Counts, Vec<Extractor>)>,
     /// The optimal F₁ achieved.
     pub f1: f64,
-    /// Token counts of a representative optimal extractor (used to combine
-    /// branch scores into a partition score).
-    pub counts: Counts,
 }
 
 impl ExtractorSynthesis {
@@ -84,7 +82,7 @@ pub(crate) const F1_EPS: f64 = 1e-9;
 /// and the spine facts child generation needs.
 struct Cand {
     ast: Extractor,
-    outputs: Vec<Vec<OutStr>>,
+    outputs: Outputs,
     depth: usize,
     /// `Some(c)` when the top production is `Split(·, c)` (double splits
     /// on one delimiter are identities and are skipped).
@@ -103,21 +101,9 @@ pub(crate) fn synthesize_extractors(
     debug_assert_eq!(scorer.pos.len(), nodes.len());
     let mut best: Vec<(Counts, Vec<Extractor>)> = Vec::new();
     let mut best_f1 = opt;
-    let mut best_counts = Counts::default();
 
     // Seed: ExtractContent(x) and its outputs.
-    let seed_outputs: Vec<Vec<OutStr>> = scorer
-        .pos
-        .iter()
-        .zip(nodes)
-        .map(|(ex, ns)| {
-            Extractor::Content
-                .eval(task.ctx, &ex.page, ns)
-                .into_iter()
-                .map(Arc::from)
-                .collect()
-        })
-        .collect();
+    let seed_outputs = scorer.seed(task, nodes);
 
     let mut worklist: std::collections::VecDeque<Cand> = std::collections::VecDeque::new();
     let seed_sig = scorer.signature(&seed_outputs);
@@ -155,11 +141,7 @@ pub(crate) fn synthesize_extractors(
         if s > best_f1 + F1_EPS {
             best = vec![(counts, vec![cand.ast.clone()])];
             best_f1 = s;
-            best_counts = counts;
         } else if (s - best_f1).abs() <= F1_EPS && s > 0.0 {
-            if best.is_empty() {
-                best_counts = counts;
-            }
             push_group(&mut best, counts, cand.ast.clone());
         }
         if cand.depth >= task.cfg.extractor_depth {
@@ -179,7 +161,7 @@ pub(crate) fn synthesize_extractors(
                 continue;
             }
             let child_outputs = scorer.apply_step(task, si, &cand.outputs);
-            if analyze && child_outputs.iter().all(Vec::is_empty) {
+            if analyze && child_outputs.all_empty() {
                 stats.analysis_pruned_extractors += 1;
                 continue;
             }
@@ -219,7 +201,6 @@ pub(crate) fn synthesize_extractors(
     ExtractorSynthesis {
         groups: best,
         f1: best_f1,
-        counts: best_counts,
     }
 }
 
@@ -239,6 +220,7 @@ mod tests {
     use super::*;
     use crate::config::SynthConfig;
     use crate::example::{counts_of_outputs, Example};
+    use crate::scorer::StrTable;
     use webqa_dsl::{Locator, PageTree, QueryContext};
 
     fn setup() -> (QueryContext, Vec<Example>, Vec<Vec<PageNodeId>>) {
@@ -265,7 +247,8 @@ mod tests {
     ) -> ExtractorSynthesis {
         let task = TaskCtx::new(cfg, ctx, examples);
         let pos: Vec<usize> = (0..examples.len()).collect();
-        let mut scorer = Scorer::new(&task, &pos);
+        let mut table = StrTable::new(task.steps.len());
+        let mut scorer = Scorer::new(&task, &mut table, &pos);
         synthesize_extractors(&task, &mut scorer, nodes, opt, stats)
     }
 
@@ -360,7 +343,6 @@ mod tests {
             &mut s_ref,
         );
         assert_eq!(fast.f1, slow.f1);
-        assert_eq!(fast.counts, slow.counts);
         assert_eq!(fast.groups.len(), slow.groups.len());
         for ((ca, ea), (cb, eb)) in fast.groups.iter().zip(&slow.groups) {
             assert_eq!(ca, cb);

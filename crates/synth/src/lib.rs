@@ -27,12 +27,14 @@
 //! kernels — `tests/synth_parity.rs` proves the two paths
 //! observationally identical on the full corpus):
 //!
-//! * **Interned scoring** (`scorer` module): gold bags and candidate
-//!   outputs are interned to dense `u32` token ids once per distinct
-//!   string (`webqa_metrics::TokenInterner`), and F₁ counts are multiset
-//!   overlaps over small integer bags — no tokenization or string
-//!   hashing per candidate. The `UB = 2R/(1+R)` ceiling (Eq. 3) runs on
-//!   per-node dense gold-id bags precomputed in [`Example`].
+//! * **String-table scoring** (`scorer` module): each synthesis worker
+//!   owns one string table that gives every distinct extractor output
+//!   string a dense `u32` id and its token ids
+//!   (`webqa_metrics::TokenInterner`) once. Candidate outputs are id
+//!   lists; F₁ counts are multiset overlaps over small integer bags, and
+//!   dedup and behavioral signatures compare ids — no tokenization or
+//!   string hashing per candidate. The `UB = 2R/(1+R)` ceiling (Eq. 3)
+//!   runs on per-node dense gold-id bags precomputed in [`Example`].
 //! * **Task-level mask tables**: every `NodeFilter` in the pool is
 //!   evaluated once per (example, node) — via a single neural-feature
 //!   pass per node text — and the `[example][filter][node]` mask table
@@ -45,9 +47,12 @@
 //!   `Arc`-shared results — no locator cloning/hashing, no node
 //!   re-propagation, no group deep-copies.
 //! * **Step-wise extractor enumeration**: children are generated as
-//!   production steps applied to the parent's shared `Arc<str>` outputs;
-//!   the UB prune fires *before* the child AST is built, so dominated
-//!   candidates never materialize.
+//!   production steps applied to the parent's id outputs. The table
+//!   memoizes each step per `(step, id)` — an id-arena range for
+//!   `Substring`/`Split`, a pass/fail bit for `Filter` — across every
+//!   branch problem the worker solves, so a step runs once per distinct
+//!   string. The UB prune fires *before* the child AST is built, so
+//!   dominated candidates never materialize.
 //!
 //! Partition blocks can additionally be solved in parallel inside one
 //! task ([`SynthConfig::jobs`]) with a deterministic merge.

@@ -73,9 +73,8 @@ pub(crate) fn node_filters(config: &SynthConfig, ctx: &QueryContext) -> Vec<Node
 
 /// `ApplyProduction` for section locators (Figure 10, line 7): all
 /// single-step extensions of `ν`. The guard enumerator applies the same
-/// productions through precomputed filter masks; this reference version
-/// backs the tests.
-#[cfg_attr(not(test), allow(dead_code))]
+/// productions through precomputed filter masks; this definitional
+/// version backs the brute-force [`crate::oracle`].
 pub(crate) fn extend_locator(
     config: &SynthConfig,
     ctx: &QueryContext,

@@ -9,25 +9,31 @@
 //! original definitional evaluation — `tests/synth_parity.rs` proves the
 //! two paths observationally identical on the whole corpus.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`TaskCtx`] — one per [`crate::synthesize`] call: the filter /
 //!   predicate / production pools, plus (optimized mode only) per-node
 //!   [`TextFeatures`] and the `[example][filter][node]` mask table every
 //!   guard enumeration reads instead of re-evaluating `NodeFilter`s.
-//! * [`Scorer`] — one per branch problem: a [`TokenInterner`] plus a
-//!   string → token-id cache, so scoring a candidate extractor is a
-//!   multiset-overlap run over small integer bags rather than
-//!   re-tokenizing every output string.
+//! * [`StrTable`] — one per synthesis worker: each distinct extractor
+//!   output string gets a dense [`StrId`] and its token ids once, and
+//!   (optimized mode) each production step is memoized per
+//!   `(step, id)`. Candidate [`Outputs`] are id lists over it.
+//! * [`Scorer`] — one per branch problem: the gold bags interned into
+//!   the worker's table, so scoring a candidate extractor is a
+//!   multiset-overlap run over small integer bags indexed by string id.
 //! * [`FxHasher`] — a fast non-cryptographic hasher for the behavioral
-//!   signatures and string-keyed caches on the hot path.
+//!   signatures of candidate outputs.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
+use std::sync::Arc;
 
-use webqa_dsl::{Analyzer, EntityKind, NlpPred, NodeFilter, QueryContext, Truth};
-use webqa_metrics::{BagOverlap, Counts, IdBag, IdVec, TokenInterner};
+use webqa_dsl::{
+    Analyzer, EntityKind, Extractor, NlpPred, NodeFilter, PageNodeId, QueryContext, Truth,
+};
+use webqa_metrics::{BagOverlap, Counts, IdBag, SmallVec, TokenInterner};
 
 use crate::cancel::CancelToken;
 use crate::config::SynthConfig;
@@ -45,16 +51,16 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(FX_SEED);
+            self.write_u64(u64::from(b));
         }
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
     }
     fn finish(&self) -> u64 {
         self.hash
     }
 }
-
-/// `BuildHasher` for [`FxHasher`]-keyed maps.
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Per-string neural-module outcomes, precomputed once per node text so
 /// every predicate in the pool evaluates against them without touching
@@ -138,10 +144,6 @@ fn filter_holds(
         NodeFilter::Not(a) => !filter_holds(a, own, subtree, is_leaf, is_elem),
     }
 }
-
-/// One shard of the task-level production-output cache: input string
-/// content → the step's outputs.
-type StepShard = Mutex<HashMap<Box<str>, Vec<OutStr>, FxBuild>>;
 
 /// The per-page half of the task-level caches: one node's worth of
 /// neural-module outcomes per tree node plus the `[filter][node]` mask
@@ -461,42 +463,23 @@ pub(crate) struct TaskCtx<'a> {
     /// borrowed from the caller (the engine's cross-request store) or
     /// computed here. Empty in reference mode.
     tables: Vec<Arc<PageFeatures>>,
-    /// Task-level production-step output cache, content-keyed and shared
-    /// across branch problems (and branch-parallel workers, hence the
-    /// mutexes). `Substring`'s span search is by far the most expensive
-    /// string operation in the search and the same strings recur in every
-    /// branch over the same pages, so its results are computed once per
-    /// distinct (step, content) for the whole task. `Filter` entries stay
-    /// `None`: their output aliases the *input* allocation and the
-    /// context-cached predicate lookup is already cheap. All `None` in
-    /// reference mode.
-    step_results: Vec<Option<StepShard>>,
 }
 
 impl<'a> TaskCtx<'a> {
-    #[allow(dead_code)] // the no-borrowed-tables convenience, used by tests
+    /// The no-borrowed-tables, never-cancelled convenience.
+    #[cfg(test)]
     pub fn new(cfg: &'a SynthConfig, ctx: &'a QueryContext, examples: &'a [Example]) -> Self {
-        Self::with_features(cfg, ctx, examples, &[])
+        Self::with_features_cancel(cfg, ctx, examples, &[], CancelToken::never())
     }
 
-    /// [`TaskCtx::new`] with caller-supplied feature tables, aligned with
-    /// `examples` (missing or shape-mismatched entries are computed
-    /// fresh). Reused tables are observationally invisible: the table is
-    /// a pure function of `(cfg, ctx, page)`, so the search reads the
-    /// same bytes whether the table was borrowed or rebuilt.
-    pub fn with_features(
-        cfg: &'a SynthConfig,
-        ctx: &'a QueryContext,
-        examples: &'a [Example],
-        features: &[Arc<PageFeatures>],
-    ) -> Self {
-        Self::with_features_cancel(cfg, ctx, examples, features, CancelToken::never())
-    }
-
-    /// [`TaskCtx::with_features`] carrying a caller-supplied
-    /// [`CancelToken`]. The branch synthesizer checkpoints the token once
-    /// per guard step; a never-token makes those checkpoints free-ish
-    /// atomic increments.
+    /// The per-task context, with caller-supplied feature tables aligned
+    /// with `examples` (missing or shape-mismatched entries are computed
+    /// fresh) and a caller-supplied [`CancelToken`]. Reused tables are
+    /// observationally invisible: the table is a pure function of
+    /// `(cfg, ctx, page)`, so the search reads the same bytes whether the
+    /// table was borrowed or rebuilt. The branch synthesizer checkpoints
+    /// the token once per guard step; a never-token makes those
+    /// checkpoints free-ish atomic increments.
     pub fn with_features_cancel(
         cfg: &'a SynthConfig,
         ctx: &'a QueryContext,
@@ -518,13 +501,6 @@ impl<'a> TaskCtx<'a> {
         for &c in &cfg.delimiters {
             steps.push(StepOp::Split(c));
         }
-        let step_results = steps
-            .iter()
-            .map(|s| {
-                (!cfg.reference_kernels && !matches!(s, StepOp::Filter(_)))
-                    .then(|| Mutex::new(HashMap::default()))
-            })
-            .collect();
         let analysis = AnalysisFacts::compute(cfg, ctx, &filters, &guard_preds, &steps);
 
         let tables = if cfg.reference_kernels {
@@ -553,7 +529,6 @@ impl<'a> TaskCtx<'a> {
             analysis,
             cancel,
             tables,
-            step_results,
         }
     }
 
@@ -569,63 +544,187 @@ impl<'a> TaskCtx<'a> {
     }
 }
 
-/// Internal output representation of the extractor search: shared string
-/// slices, so `Filter` steps and dedup clone a pointer, not the bytes.
-/// Atomically counted so the task-level extraction cache can be shared
-/// by the branch-parallel workers.
-pub(crate) type OutStr = Arc<str>;
+/// Dense id of one distinct string in a worker's [`StrTable`]. Two ids
+/// of one table are equal exactly when their contents are.
+pub(crate) type StrId = u32;
 
-/// Everything the scorer knows about one distinct string allocation:
-/// its interned token ids and its content hash. Keyed by the `Arc`
-/// allocation address; the stored handle keeps the allocation alive so
-/// the address can never be reused while the entry exists.
-struct StrInfo {
-    /// Never read — exists to pin the allocation so the address key
-    /// stays valid for the scorer's lifetime.
-    _keepalive: OutStr,
-    ids: IdVec,
-    content_hash: u64,
+/// A candidate extractor's outputs on every positive example of a
+/// branch, as string ids in one flat list: example `i`'s outputs are
+/// `ids[ends[i - 1]..ends[i]]` (with `ends[-1] = 0`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Outputs {
+    ids: Vec<StrId>,
+    ends: SmallVec<u32, 8>,
+}
+
+impl Outputs {
+    /// Closes the current example's output list.
+    fn end_example(&mut self) {
+        self.ends.push(self.ids.len() as u32);
+    }
+
+    /// The per-example output lists, in example order.
+    pub fn examples(&self) -> impl Iterator<Item = &[StrId]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(self.ends.iter())
+            .map(|(a, &b)| &self.ids[a as usize..b as usize])
+    }
+
+    /// Whether every example's output list is empty.
+    pub fn all_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
+/// The memo of one production step on one input string.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// `Filter`: whether the predicate holds (the output is the input).
+    Keep(bool),
+    /// `Substring` / `Split`: the outputs are `arena[start..end]`.
+    Range(u32, u32),
+}
+
+/// The string table of one synthesis worker: every distinct extractor
+/// output string gets a dense [`StrId`] once, with its scoring token ids
+/// (from the table's [`TokenInterner`], which also interns the gold
+/// bags). Optimized mode also memoizes each production step per
+/// `(step, id)`, so a step runs once per distinct input string for the
+/// worker's whole lifetime — across every branch problem it solves.
+///
+/// A table is owned by exactly one worker (one per task at `jobs = 1`):
+/// no locks, and ids never cross tables.
+pub(crate) struct StrTable {
+    /// Content → id. Keyed by page text, which clients supply, so it
+    /// keeps the standard library's seeded hasher.
+    ids: HashMap<Rc<str>, StrId>,
+    strings: Vec<Rc<str>>,
+    /// String `i`'s token ids are `tokens[token_ends[i]..token_ends[i + 1]]`.
+    token_ends: Vec<u32>,
+    tokens: Vec<u32>,
+    interner: TokenInterner,
+    /// `[step][id]` step memo, filled on first use (optimized mode only).
+    slots: Vec<Vec<Option<Slot>>>,
+    /// The outputs of every filled `Substring`/`Split` slot.
+    arena: Vec<StrId>,
+    /// Per-id stamp of the example run that last saw the string: the
+    /// first-occurrence filter of [`Scorer::counts_dedup`].
+    seen: Vec<u64>,
+    epoch: u64,
+}
+
+impl StrTable {
+    /// An empty table for a task with `steps` production steps.
+    pub fn new(steps: usize) -> Self {
+        StrTable {
+            ids: HashMap::default(),
+            strings: Vec::new(),
+            token_ends: vec![0],
+            tokens: Vec::new(),
+            interner: TokenInterner::new(),
+            slots: vec![Vec::new(); steps],
+            arena: Vec::new(),
+            seen: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// The id of `s`, assigning (and tokenizing) it on first sight.
+    fn intern(&mut self, s: &str) -> StrId {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = self.strings.len() as StrId;
+        let s: Rc<str> = Rc::from(s);
+        self.tokens.extend(self.interner.tokenize_ids(&s).iter());
+        self.token_ends.push(self.tokens.len() as u32);
+        self.strings.push(Rc::clone(&s));
+        self.ids.insert(s, id);
+        id
+    }
+
+    fn str(&self, id: StrId) -> &str {
+        &self.strings[id as usize]
+    }
+
+    fn tokens(&self, id: StrId) -> &[u32] {
+        let i = id as usize;
+        &self.tokens[self.token_ends[i] as usize..self.token_ends[i + 1] as usize]
+    }
+
+    /// Appends step `si`'s outputs on `id` to `out`, filling its slot on
+    /// first use.
+    fn apply(
+        &mut self,
+        ctx: &QueryContext,
+        si: usize,
+        step: &StepOp,
+        id: StrId,
+        out: &mut Vec<StrId>,
+    ) {
+        let i = id as usize;
+        if self.slots[si].len() <= i {
+            self.slots[si].resize(self.strings.len(), None);
+        }
+        let slot = match self.slots[si][i] {
+            Some(slot) => slot,
+            None => {
+                let s = Rc::clone(&self.strings[i]);
+                let slot = match step {
+                    StepOp::Filter(pred) => Slot::Keep(pred.eval(ctx, &s)),
+                    _ => {
+                        let start = self.arena.len() as u32;
+                        apply_step_one(ctx, step, &s, |piece| {
+                            let piece = self.intern(piece);
+                            self.arena.push(piece);
+                        });
+                        Slot::Range(start, self.arena.len() as u32)
+                    }
+                };
+                self.slots[si][i] = Some(slot);
+                slot
+            }
+        };
+        match slot {
+            Slot::Keep(true) => out.push(id),
+            Slot::Keep(false) => {}
+            Slot::Range(start, end) => {
+                out.extend_from_slice(&self.arena[start as usize..end as usize])
+            }
+        }
+    }
+
+    /// Starts a new first-occurrence run over this table's ids.
+    fn next_epoch(&mut self) -> u64 {
+        self.seen.resize(self.strings.len(), 0);
+        self.epoch += 1;
+        self.epoch
+    }
 }
 
 /// Per-branch scoring state: the positive examples with their gold bags
-/// interned into one id space, plus pointer-keyed caches for string
-/// token-ids, content hashes, and production-step outputs.
-pub(crate) struct Scorer<'a> {
+/// interned into the worker's [`StrTable`], which every candidate's
+/// outputs index.
+pub(crate) struct Scorer<'a, 't> {
     reference: bool,
     /// The branch's positive examples (scoring targets), in order.
     pub pos: Vec<&'a Example>,
-    interner: TokenInterner,
+    table: &'t mut StrTable,
     gold: Vec<IdBag>,
-    strings: HashMap<usize, StrInfo, FxBuild>,
-    /// `(string allocation, step index)` → the step's outputs on that
-    /// string. Production steps are pure string functions, so the result
-    /// is computed once per distinct input allocation and the output
-    /// `Rc`s are shared by every candidate that reaches it.
-    step_cache: HashMap<(usize, u32), Vec<OutStr>, FxBuild>,
     overlap: BagOverlap,
 }
 
-fn addr(s: &OutStr) -> usize {
-    Arc::as_ptr(s) as *const u8 as usize
-}
-
-fn fx_content_hash(s: &str) -> u64 {
-    let mut h = FxHasher::default();
-    s.hash(&mut h);
-    h.finish()
-}
-
-impl<'a> Scorer<'a> {
-    pub fn new(task: &TaskCtx<'a>, pos: &[usize]) -> Self {
+impl<'a, 't> Scorer<'a, 't> {
+    pub fn new(task: &TaskCtx<'a>, table: &'t mut StrTable, pos: &[usize]) -> Self {
         let pos: Vec<&Example> = pos.iter().map(|&i| &task.examples[i]).collect();
-        let mut interner = TokenInterner::new();
         let gold = pos
             .iter()
             .map(|ex| {
                 IdBag::from_ids(
                     ex.gold_tokens()
                         .iter()
-                        .map(|t| interner.intern(t))
+                        .map(|t| table.interner.intern(t))
                         .collect(),
                 )
             })
@@ -633,10 +732,8 @@ impl<'a> Scorer<'a> {
         Scorer {
             reference: task.cfg.reference_kernels,
             pos,
-            interner,
+            table,
             gold,
-            strings: HashMap::default(),
-            step_cache: HashMap::default(),
             overlap: BagOverlap::default(),
         }
     }
@@ -649,200 +746,128 @@ impl<'a> Scorer<'a> {
         self.gold.iter().map(webqa_metrics::IdBag::total).sum()
     }
 
-    fn info<'m>(
-        strings: &'m mut HashMap<usize, StrInfo, FxBuild>,
-        interner: &mut TokenInterner,
-        s: &OutStr,
-    ) -> &'m StrInfo {
-        strings.entry(addr(s)).or_insert_with(|| StrInfo {
-            _keepalive: Arc::clone(s),
-            ids: interner.tokenize_ids(s),
-            content_hash: fx_content_hash(s),
-        })
+    /// The outputs of `ExtractContent` on each positive example's
+    /// located nodes — the seed of the extractor search.
+    pub fn seed(&mut self, task: &TaskCtx, nodes: &[Vec<PageNodeId>]) -> Outputs {
+        let mut out = Outputs::default();
+        for (ex, ns) in self.pos.iter().zip(nodes) {
+            for s in Extractor::Content.eval(task.ctx, &ex.page, ns) {
+                out.ids.push(self.table.intern(&s));
+            }
+            out.end_example();
+        }
+        out
+    }
+
+    /// The outputs resolved to their strings (the reference kernels'
+    /// input).
+    fn resolve(&self, outputs: &Outputs) -> Vec<Vec<&str>> {
+        outputs
+            .examples()
+            .map(|ids| ids.iter().map(|&id| self.table.str(id)).collect())
+            .collect()
     }
 
     /// Micro-averaged counts of the raw per-example output multisets —
     /// the `UB` input of Eq. 3.
-    pub fn counts_raw(&mut self, outputs: &[Vec<OutStr>]) -> Counts {
-        if self.reference {
-            return crate::example::counts_of_outputs_ref(&self.pos, outputs, false);
-        }
-        let mut total = Counts::default();
-        for (i, strings) in outputs.iter().enumerate() {
-            let gold = &self.gold[i];
-            self.overlap.begin(gold);
-            let mut matched = 0usize;
-            let mut predicted = 0usize;
-            for s in strings {
-                let info = Self::info(&mut self.strings, &mut self.interner, s);
-                predicted += info.ids.len();
-                matched += info
-                    .ids
-                    .iter()
-                    .filter(|&&id| self.overlap.consume(gold, id))
-                    .count();
-            }
-            total += Counts {
-                matched,
-                predicted,
-                gold: gold.total(),
-            };
-        }
-        total
+    pub fn counts_raw(&mut self, outputs: &Outputs) -> Counts {
+        self.counts(outputs, false)
     }
 
     /// Micro-averaged counts under the program-level set semantics:
     /// per-example duplicate strings are counted once (Figure 6).
-    pub fn counts_dedup(&mut self, outputs: &[Vec<OutStr>]) -> Counts {
+    pub fn counts_dedup(&mut self, outputs: &Outputs) -> Counts {
+        self.counts(outputs, true)
+    }
+
+    fn counts(&mut self, outputs: &Outputs, dedup: bool) -> Counts {
         if self.reference {
-            return crate::example::counts_of_outputs_ref(&self.pos, outputs, true);
+            return crate::example::counts_of_outputs_ref(&self.pos, &self.resolve(outputs), dedup);
         }
         let mut total = Counts::default();
-        for (i, strings) in outputs.iter().enumerate() {
-            // Order-preserving first-occurrence filter, content equality
-            // (pointer equality as the fast path — shared `Rc`s make it
-            // hit almost always). Inline buffer for the common small
-            // case; spills only for outputs with many distinct strings.
-            let mut inline: [&str; 16] = [""; 16];
-            let mut inline_len = 0usize;
-            let mut spill: Vec<&str> = Vec::new();
-            let gold = &self.gold[i];
+        for (ids, gold) in outputs.examples().zip(&self.gold) {
+            // Id equality is content equality, so the set semantics is a
+            // first-occurrence stamp per id.
+            let epoch = if dedup { self.table.next_epoch() } else { 0 };
             self.overlap.begin(gold);
-            let mut matched = 0usize;
-            let mut predicted = 0usize;
-            'strings: for s in strings {
-                let str_ref: &str = s;
-                for seen in inline[..inline_len].iter().chain(spill.iter()) {
-                    if std::ptr::eq(*seen as *const str, str_ref as *const str) || *seen == str_ref
-                    {
-                        continue 'strings;
-                    }
+            for &id in ids {
+                if dedup && std::mem::replace(&mut self.table.seen[id as usize], epoch) == epoch {
+                    continue;
                 }
-                if inline_len < inline.len() {
-                    inline[inline_len] = str_ref;
-                    inline_len += 1;
-                } else {
-                    spill.push(str_ref);
-                }
-                let info = Self::info(&mut self.strings, &mut self.interner, s);
-                predicted += info.ids.len();
-                matched += info
-                    .ids
+                let tokens = self.table.tokens(id);
+                total.predicted += tokens.len();
+                total.matched += tokens
                     .iter()
-                    .filter(|&&id| self.overlap.consume(gold, id))
+                    .filter(|&&t| self.overlap.consume(gold, t))
                     .count();
             }
-            total += Counts {
-                matched,
-                predicted,
-                gold: gold.total(),
-            };
+            total.gold += gold.total();
         }
         total
     }
 
     /// Applies production step `si` of the task's pool to the parent's
-    /// outputs. In optimized mode the per-string results are memoized by
-    /// input allocation — `Substring`'s span search and `Split`'s
-    /// re-allocation happen once per distinct string, and their output
-    /// `Rc`s are shared across all candidates. Reference mode computes
-    /// every application definitionally.
-    pub fn apply_step(
-        &mut self,
-        task: &TaskCtx,
-        si: usize,
-        parent_outputs: &[Vec<OutStr>],
-    ) -> Vec<Vec<OutStr>> {
+    /// outputs. Optimized mode copies each input's memoized outputs from
+    /// the table (computing a step once per distinct input string);
+    /// reference mode evaluates every application definitionally.
+    pub fn apply_step(&mut self, task: &TaskCtx, si: usize, parent: &Outputs) -> Outputs {
         let step = &task.steps[si];
-        parent_outputs
-            .iter()
-            .map(|strings| {
-                let mut out: Vec<OutStr> = Vec::with_capacity(strings.len());
-                for s in strings {
-                    if self.reference {
-                        apply_step_one(task.ctx, step, s, &mut out);
-                        continue;
-                    }
-                    match self.step_cache.get(&(addr(s), si as u32)) {
-                        Some(cached) => out.extend(cached.iter().cloned()),
-                        None => {
-                            let one = match &task.step_results[si] {
-                                // Expensive step: go through the
-                                // task-level content-keyed cache shared
-                                // by all branches.
-                                Some(shared) => {
-                                    let mut map = shared.lock().expect("step cache lock");
-                                    match map.get(&**s) {
-                                        Some(v) => v.clone(),
-                                        None => {
-                                            let mut v = Vec::new();
-                                            apply_step_one(task.ctx, step, s, &mut v);
-                                            map.insert(Box::from(&**s), v.clone());
-                                            v
-                                        }
-                                    }
-                                }
-                                None => {
-                                    let mut v = Vec::new();
-                                    apply_step_one(task.ctx, step, s, &mut v);
-                                    v
-                                }
-                            };
-                            out.extend(one.iter().cloned());
-                            // Retain the input `Arc` in the strings
-                            // table so its address key stays valid for
-                            // the scorer's lifetime.
-                            Self::info(&mut self.strings, &mut self.interner, s);
-                            self.step_cache.insert((addr(s), si as u32), one);
-                        }
-                    }
+        let mut out = Outputs {
+            ids: Vec::with_capacity(parent.ids.len()),
+            ..Outputs::default()
+        };
+        for ids in parent.examples() {
+            for &id in ids {
+                if self.reference {
+                    let s = Rc::clone(&self.table.strings[id as usize]);
+                    apply_step_one(task.ctx, step, &s, |piece| {
+                        out.ids.push(self.table.intern(piece));
+                    });
+                } else {
+                    self.table.apply(task.ctx, si, step, id, &mut out.ids);
                 }
-                out
-            })
-            .collect()
+            }
+            out.end_example();
+        }
+        out
     }
 
     /// Order-sensitive behavioral signature of per-example outputs. The
-    /// optimized path combines per-string content hashes (cached per
-    /// allocation) with [`FxHasher`]; the reference path hashes the whole
-    /// nested structure with the standard library's SipHash, exactly as
-    /// the pre-overhaul code did.
-    pub fn signature(&mut self, outputs: &[Vec<OutStr>]) -> u64 {
+    /// optimized path hashes the ids with [`FxHasher`]; the reference
+    /// path hashes the nested strings with the standard library's
+    /// SipHash.
+    pub fn signature(&self, outputs: &Outputs) -> u64 {
         if self.reference {
             let mut h = std::collections::hash_map::DefaultHasher::new();
-            outputs.hash(&mut h);
+            self.resolve(outputs).hash(&mut h);
             return h.finish();
         }
         let mut h = FxHasher::default();
-        for strings in outputs {
-            h.write_u64(strings.len() as u64);
-            for s in strings {
-                let info = Self::info(&mut self.strings, &mut self.interner, s);
-                h.write_u64(info.content_hash);
-            }
+        for &word in outputs.ends.iter().chain(&outputs.ids) {
+            h.write_u64(u64::from(word));
         }
         h.finish()
     }
 }
 
-/// One production step on one string, definitionally.
-fn apply_step_one(ctx: &QueryContext, step: &StepOp, s: &OutStr, out: &mut Vec<OutStr>) {
+/// One production step on one string, definitionally: `emit` receives
+/// each output string in order.
+fn apply_step_one(ctx: &QueryContext, step: &StepOp, s: &str, mut emit: impl FnMut(&str)) {
     match step {
         StepOp::Filter(pred) => {
             if pred.eval(ctx, s) {
-                out.push(Arc::clone(s));
+                emit(s);
             }
         }
         StepOp::Substring(pred, k) => {
-            out.extend(pred.extract(ctx, s).into_iter().take(*k).map(Arc::from));
+            for piece in pred.extract(ctx, s).iter().take(*k) {
+                emit(piece);
+            }
         }
         StepOp::Split(c) => {
-            out.extend(
-                s.split(*c)
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(Arc::from),
-            );
+            for piece in s.split(*c).map(str::trim).filter(|p| !p.is_empty()) {
+                emit(piece);
+            }
         }
     }
 }
@@ -850,6 +875,7 @@ fn apply_step_one(ctx: &QueryContext, step: &StepOp, s: &OutStr, out: &mut Vec<O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use webqa_dsl::{PageTree, Threshold};
 
     fn ctx() -> QueryContext {
@@ -972,6 +998,18 @@ mod tests {
         }
     }
 
+    /// Builds id outputs from per-example strings.
+    fn outputs_of(table: &mut StrTable, strings: &[&[&str]]) -> Outputs {
+        let mut out = Outputs::default();
+        for example in strings {
+            for s in *example {
+                out.ids.push(table.intern(s));
+            }
+            out.end_example();
+        }
+        out
+    }
+
     #[test]
     fn scorer_counts_match_reference_counts() {
         let c = ctx();
@@ -989,22 +1027,139 @@ mod tests {
         ];
         let task_fast = TaskCtx::new(&cfg_fast, &c, &examples);
         let task_ref = TaskCtx::new(&cfg_ref, &c, &examples);
-        let outputs: Vec<Vec<OutStr>> = vec![
-            vec![
-                Arc::from("Jane Doe"),
-                Arc::from("Jane Doe"),
-                Arc::from("noise"),
-            ],
-            vec![Arc::from("Bob Smith"), Arc::from("")],
-        ];
-        let mut fast = Scorer::new(&task_fast, &[0, 1]);
-        let mut slow = Scorer::new(&task_ref, &[0, 1]);
-        assert_eq!(fast.counts_raw(&outputs), slow.counts_raw(&outputs));
-        assert_eq!(fast.counts_dedup(&outputs), slow.counts_dedup(&outputs));
+        let strings: [&[&str]; 2] = [&["Jane Doe", "Jane Doe", "noise"], &["Bob Smith", ""]];
+        let (mut table_fast, mut table_ref) = (StrTable::new(0), StrTable::new(0));
+        let outputs_fast = outputs_of(&mut table_fast, &strings);
+        let outputs_ref = outputs_of(&mut table_ref, &strings);
+        let mut fast = Scorer::new(&task_fast, &mut table_fast, &[0, 1]);
+        let mut slow = Scorer::new(&task_ref, &mut table_ref, &[0, 1]);
+        assert_eq!(
+            fast.counts_raw(&outputs_fast),
+            slow.counts_raw(&outputs_ref)
+        );
+        assert_eq!(
+            fast.counts_dedup(&outputs_fast),
+            slow.counts_dedup(&outputs_ref)
+        );
         // Dedup drops the duplicate "Jane Doe" but keeps distinct strings.
-        let raw = fast.counts_raw(&outputs);
-        let dedup = fast.counts_dedup(&outputs);
+        let raw = fast.counts_raw(&outputs_fast);
+        let dedup = fast.counts_dedup(&outputs_fast);
         assert_eq!(raw.predicted, dedup.predicted + 2);
+    }
+
+    #[test]
+    fn one_content_from_two_productions_is_one_id() {
+        let c = ctx();
+        let cfg = SynthConfig::fast();
+        let examples = vec![example("<p>Advisor: Jane Doe</p>", &["Jane Doe"])];
+        let task = TaskCtx::new(&cfg, &c, &examples);
+        let steps = [
+            StepOp::Split(':'),
+            StepOp::Substring(NlpPred::HasEntity(EntityKind::Person), 1),
+        ];
+        let mut table = StrTable::new(steps.len());
+        let input = table.intern("Advisor: Jane Doe");
+        let (mut split, mut substring) = (Vec::new(), Vec::new());
+        table.apply(&c, 0, &steps[0], input, &mut split);
+        table.apply(&c, 1, &steps[1], input, &mut substring);
+        let names: Vec<&str> = split.iter().map(|&id| table.str(id)).collect();
+        assert_eq!(names, ["Advisor", "Jane Doe"]);
+        assert_eq!(substring.len(), 1);
+        assert_eq!(table.str(substring[0]), "Jane Doe");
+        assert_eq!(split[1], substring[0], "equal content must share one id");
+
+        // Both copies in one example's outputs count once under the set
+        // semantics, exactly as the definitional kernel counts them.
+        let mut out = Outputs::default();
+        out.ids.extend(split.iter().chain(&substring));
+        out.end_example();
+        let resolved: Vec<Vec<String>> = vec![out
+            .ids
+            .iter()
+            .map(|&id| table.str(id).to_string())
+            .collect()];
+        let pos: Vec<&Example> = examples.iter().collect();
+        let dedup = crate::example::counts_of_outputs_ref(&pos, &resolved, true);
+        let raw = crate::example::counts_of_outputs_ref(&pos, &resolved, false);
+        let mut scorer = Scorer::new(&task, &mut table, &[0]);
+        assert_eq!(scorer.counts_dedup(&out), dedup);
+        assert_eq!(scorer.counts_raw(&out), raw);
+        assert_eq!(dedup.predicted, 3, "advisor + jane doe, once");
+        assert_eq!(raw.predicted, 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// On random generator pages, two levels of production steps
+        /// applied through the table's memo: every filled `(step, id)`
+        /// slot equals the definitional step on the resolved string, and
+        /// the id-path counts equal the definitional string counts.
+        #[test]
+        fn table_slots_and_counts_match_definitional(seed in 0u64..10_000, t in 0usize..25) {
+            let task_def = &webqa_corpus::TASKS[t];
+            let c = QueryContext::new(task_def.question, task_def.keywords.to_vec());
+            let examples: Vec<Example> = webqa_corpus::generate_pages(task_def.domain, 2, seed)
+                .iter()
+                .map(|p| Example::new(p.tree(), p.gold(task_def.id).to_vec()))
+                .collect();
+            let cfg = SynthConfig::fast();
+            let task = TaskCtx::new(&cfg, &c, &examples);
+            let nodes: Vec<Vec<PageNodeId>> = examples
+                .iter()
+                .map(|ex| webqa_dsl::Locator::leaves(webqa_dsl::Locator::Root).eval(&c, &ex.page))
+                .collect();
+            let mut table = StrTable::new(task.steps.len());
+            let mut scorer = Scorer::new(&task, &mut table, &[0, 1]);
+            let mut frontier = vec![scorer.seed(&task, &nodes)];
+            let mut all = frontier.clone();
+            for _ in 0..2 {
+                let mut next = Vec::new();
+                for parent in &frontier {
+                    for si in 0..task.steps.len() {
+                        let child = scorer.apply_step(&task, si, parent);
+                        if !child.all_empty() {
+                            next.push(child);
+                        }
+                    }
+                }
+                all.extend(next.iter().cloned());
+                frontier = next;
+                frontier.truncate(8);
+            }
+            for outputs in &all {
+                for dedup in [false, true] {
+                    let expect = crate::example::counts_of_outputs_ref(
+                        &scorer.pos,
+                        &scorer.resolve(outputs),
+                        dedup,
+                    );
+                    prop_assert_eq!(scorer.counts(outputs, dedup), expect);
+                }
+            }
+            let mut filled = 0usize;
+            for (si, slots) in table.slots.iter().enumerate() {
+                for (id, slot) in slots.iter().enumerate() {
+                    let mut expect = Vec::new();
+                    apply_step_one(&c, &task.steps[si], table.str(id as StrId), |p| {
+                        expect.push(p.to_string());
+                    });
+                    let got: Vec<&str> = match *slot {
+                        None => continue,
+                        Some(Slot::Keep(keep)) => {
+                            if keep { vec![table.str(id as StrId)] } else { Vec::new() }
+                        }
+                        Some(Slot::Range(start, end)) => table.arena[start as usize..end as usize]
+                            .iter()
+                            .map(|&out| table.str(out))
+                            .collect(),
+                    };
+                    prop_assert_eq!(got, expect);
+                    filled += 1;
+                }
+            }
+            prop_assert!(filled > 0);
+        }
     }
 
     #[test]

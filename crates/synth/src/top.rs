@@ -22,7 +22,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SynthConfig;
 use crate::example::Example;
 use crate::extractors::F1_EPS;
-use crate::scorer::{PageFeatures, TaskCtx};
+use crate::scorer::{PageFeatures, StrTable, TaskCtx};
 use crate::stats::SynthStats;
 
 /// The result of [`synthesize`]: all optimal programs (capped), their
@@ -129,12 +129,14 @@ pub fn synthesize_cancellable(
         }
     }
 
-    let solve = |key: (u32, u32)| -> (Option<BranchSynthesis>, SynthStats) {
+    // Each worker solves its blocks over its own string table, so the
+    // step memo is shared by every branch problem the worker solves.
+    let solve = |key: (u32, u32), table: &mut StrTable| -> (Option<BranchSynthesis>, SynthStats) {
         let mut st = SynthStats::default();
         let pos = bits_of(key.0);
         // E⁻ = examples in later blocks of the partition (footnote 5).
         let neg = bits_of(key.1);
-        let r = synthesize_branch(&task, &pos, &neg, &mut st);
+        let r = synthesize_branch(&task, table, &pos, &neg, &mut st);
         (r, st)
     };
 
@@ -152,16 +154,19 @@ pub fn synthesize_cancellable(
         let slots: Mutex<Vec<Slot>> = Mutex::new((0..keys.len()).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&key) = keys.get(i) else { break };
-                    // A tripped token drains the queue without solving:
-                    // the whole search is abandoned below.
-                    if cancel.is_cancelled() {
-                        break;
+                scope.spawn(|| {
+                    let mut table = StrTable::new(task.steps.len());
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&key) = keys.get(i) else { break };
+                        // A tripped token drains the queue without
+                        // solving: the whole search is abandoned below.
+                        if cancel.is_cancelled() {
+                            break;
+                        }
+                        let result = solve(key, &mut table);
+                        slots.lock().expect("no poisoned workers")[i] = Some(result);
                     }
-                    let result = solve(key);
-                    slots.lock().expect("no poisoned workers")[i] = Some(result);
                 });
             }
         });
@@ -186,6 +191,7 @@ pub fn synthesize_cancellable(
     // Whether a key has been looked up during assembly before (memo-hit
     // accounting identical to the lazy path).
     let mut touched = vec![false; keys.len()];
+    let mut table = StrTable::new(task.steps.len());
 
     for partition in &partitions {
         if cancel.is_cancelled() {
@@ -208,7 +214,7 @@ pub fn synthesize_cancellable(
                     cached.clone()
                 }
                 None => {
-                    let (r, st) = solve((pos_mask, neg_mask));
+                    let (r, st) = solve((pos_mask, neg_mask), &mut table);
                     stats += st;
                     let r = r.map(Arc::new);
                     solved[ki] = Some(r.clone());
@@ -269,6 +275,11 @@ pub fn synthesize_cancellable(
 /// different counts — so a partition's achievable optimum is the best F₁
 /// over all combinations of per-block count groups, computed here by
 /// folding the achievable-sum set across blocks.
+///
+/// Sums tied on F₁ (within [`F1_EPS`]) are all optimal; the one reported
+/// is the least `(matched, predicted, gold)`. The choice is a function of
+/// the set alone, never of its iteration order, so every run (and every
+/// engine) reports the same representative `Counts`.
 fn partition_best(blocks: &[Arc<BranchSynthesis>]) -> (f64, Counts) {
     let mut sums: HashSet<Counts> = HashSet::new();
     sums.insert(Counts::default());
@@ -282,12 +293,11 @@ fn partition_best(blocks: &[Arc<BranchSynthesis>]) -> (f64, Counts) {
         }
         sums = next;
     }
+    let top = sums.iter().map(Counts::f1).fold(-1.0, f64::max);
     sums.into_iter()
-        .map(|c| (c.f1(), c))
-        .fold(
-            (-1.0, Counts::default()),
-            |acc, x| if x.0 > acc.0 { x } else { acc },
-        )
+        .filter(|c| c.f1() + F1_EPS >= top)
+        .min_by_key(|c| (c.matched, c.predicted, c.gold))
+        .map_or((-1.0, Counts::default()), |c| (c.f1(), c))
 }
 
 fn mask_of(block: &[usize]) -> u32 {
@@ -646,6 +656,39 @@ mod tests {
         let recovered = synthesize_with_features(&cfg, &c, &examples, &wrong);
         assert_eq!(recovered.programs, fresh.programs);
         assert_eq!(recovered.stats, fresh.stats);
+    }
+
+    #[test]
+    fn tied_count_groups_report_the_same_counts_every_run() {
+        // `class_t1` over these pages has optimal programs in two count
+        // groups tied on F₁ = 2/3: (4, 4, 8) and (8, 16, 8). The reported
+        // representative is the least of them, never whichever a hash set
+        // happens to iterate first (which differs between runs).
+        let task = webqa_corpus::TASKS
+            .iter()
+            .find(|t| t.id == "class_t1")
+            .expect("class_t1 exists");
+        let c = QueryContext::new(task.question, task.keywords.to_vec());
+        let pages = webqa_corpus::generate_pages(task.domain, 6, 2);
+        let examples: Vec<Example> = pages[..2]
+            .iter()
+            .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
+            .collect();
+        let first = synthesize(&SynthConfig::fast(), &c, &examples);
+        assert_eq!(
+            first.counts,
+            Counts {
+                matched: 4,
+                predicted: 4,
+                gold: 8
+            }
+        );
+        for _ in 0..8 {
+            assert_eq!(
+                synthesize(&SynthConfig::fast(), &c, &examples).counts,
+                first.counts
+            );
+        }
     }
 
     #[test]
