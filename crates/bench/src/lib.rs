@@ -13,7 +13,7 @@
 //! * `WEBQA_TRAIN` — labeled pages per task (default 5);
 //! * `WEBQA_SEED` — corpus seed (default 42).
 
-use webqa::{score_answers, Config, Engine, PageId, PageStore, Selection};
+use webqa::{score_answers, CancelToken, Config, Engine, PageId, PageStore, Selection};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{Corpus, Domain, Task, TaskDataset};
 use webqa_metrics::{Counts, Score};
@@ -257,7 +257,10 @@ pub fn run_webqa(setup: &Setup, task: &Task, config: Config) -> Score {
 pub fn run_webqa_with_train(setup: &Setup, task: &Task, config: Config, n_train: usize) -> Score {
     let engine = setup.engine(config);
     let result = engine
-        .run(&setup.engine_task_with_train(task, n_train))
+        .run(
+            &setup.engine_task_with_train(task, n_train),
+            &CancelToken::never(),
+        )
         .expect("store-issued ids always resolve");
     score_answers(&result.answers, &setup.test_gold(task)).expect("aligned by construction")
 }

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use webqa::{score_answers, Config, Engine, Modality, Selection, Task as EngineTask};
+use webqa::{score_answers, CancelToken, Config, Engine, Modality, Selection, Task as EngineTask};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{
     domain_stats, generate_pages, task_by_id, Corpus, Domain, Task, TaskDataset, TASKS,
@@ -277,7 +277,7 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
         test_html.push(p.html);
     }
     let (n_labeled, n_test) = (etask.labeled.len(), etask.unlabeled.len());
-    let result = engine.run(&etask)?;
+    let result = engine.run(&etask, &CancelToken::never())?;
 
     if a.switch("json") {
         let score = score_answers(&result.answers, &gold)?;
@@ -462,7 +462,7 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
         })
         .collect();
 
-    let results = engine.run_batch(&etasks, jobs)?;
+    let results = engine.run_batch(&etasks, jobs, &CancelToken::never())?;
 
     let mut out = String::new();
     let _ = writeln!(

@@ -3,25 +3,22 @@
 //! The first concurrent serving surface of the engine. Tasks are
 //! embarrassingly parallel — synthesis and selection touch only the
 //! task's own examples plus the immutable interned pages — so the batch
-//! runner is a scoped threadpool pulling task indices off an atomic
-//! counter. Results come back **in input order** and are byte-identical
-//! to running each task alone: worker scheduling cannot leak into
-//! output (every source of randomness in the pipeline is seeded from the
-//! config, not from thread state).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! runner fans them out over the workspace's ordered worker pool
+//! ([`par_map_ordered`]). Results come back **in input order** and are
+//! byte-identical to running each task alone: worker scheduling cannot
+//! leak into output (every source of randomness in the pipeline is
+//! seeded from the config, not from thread state).
 
 use crate::engine::{Engine, Task};
 use crate::error::Error;
 use crate::pipeline::RunResult;
-use webqa_synth::CancelToken;
+use webqa_synth::{par_map_ordered, CancelToken};
 
 impl Engine {
-    /// Runs every task, using up to `jobs` worker threads (`0` and `1`
-    /// both mean sequential). Results are aligned with `tasks` and
-    /// deterministic: the same inputs produce the same outputs regardless
-    /// of `jobs`.
+    /// Runs every task under one cooperative [`CancelToken`], using up to
+    /// `jobs` worker threads (`0` and `1` both mean sequential). Results
+    /// are aligned with `tasks` and deterministic: the same inputs
+    /// produce the same outputs regardless of `jobs`.
     ///
     /// This is *across*-task parallelism; it composes with the
     /// branch-level parallelism *inside* one task
@@ -39,15 +36,25 @@ impl Engine {
     /// F₁, and answers are identical for every worker-count combination
     /// (`tests/staged_api.rs` pins batch × branch determinism).
     ///
+    /// The token is shared by every task — the serving layer's
+    /// `run_batch` wire op runs the whole batch under one deadline. A
+    /// trip aborts the in-flight tasks within one guard step each, skips
+    /// the unstarted ones, and the batch returns [`Error::Cancelled`];
+    /// completed per-task results are discarded, but anything already
+    /// inserted into the shared result cache stays (it is complete and
+    /// byte-identical to an uncancelled run).
+    ///
     /// # Errors
     ///
     /// The first failing task's error, by input order (tasks after a
-    /// failure may or may not have been executed).
+    /// failure may or may not have been executed), and
+    /// [`Error::Cancelled`] when the token trips before every task
+    /// finished.
     ///
     /// # Examples
     ///
     /// ```
-    /// use webqa::{Config, Engine, Task};
+    /// use webqa::{CancelToken, Config, Engine, Task};
     ///
     /// let mut engine = Engine::new(Config::default());
     /// let a = engine.store_mut().insert_html("<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>")?;
@@ -57,29 +64,12 @@ impl Engine {
     ///         .with_label(a, vec!["Jane Doe".into()])
     ///         .with_target(target)
     /// };
-    /// let results = engine.run_batch(&[task(b), task(a)], 2)?;
+    /// let results = engine.run_batch(&[task(b), task(a)], 2, &CancelToken::never())?;
     /// assert_eq!(results.len(), 2);
     /// assert_eq!(results[0].answers[0], vec!["Wei Chen".to_string()]);
     /// # Ok::<(), webqa::Error>(())
     /// ```
-    pub fn run_batch(&self, tasks: &[Task], jobs: usize) -> Result<Vec<RunResult>, Error> {
-        self.run_batch_with_cancel(tasks, jobs, &CancelToken::never())
-    }
-
-    /// [`Engine::run_batch`] under a cooperative
-    /// [`CancelToken`] shared by every task in the batch — the serving
-    /// layer's `run_batch` wire op runs the whole batch under one
-    /// deadline. A trip aborts the in-flight tasks within one guard step
-    /// each, skips the unstarted ones, and the batch returns
-    /// [`Error::Cancelled`]; completed per-task results are discarded,
-    /// but anything already inserted into the shared result cache stays
-    /// (it is complete and byte-identical to an uncancelled run).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_batch`], plus [`Error::Cancelled`] when the
-    /// token trips before every task finished.
-    pub fn run_batch_with_cancel(
+    pub fn run_batch(
         &self,
         tasks: &[Task],
         jobs: usize,
@@ -87,10 +77,7 @@ impl Engine {
     ) -> Result<Vec<RunResult>, Error> {
         let jobs = jobs.clamp(1, tasks.len().max(1));
         if jobs == 1 {
-            return tasks
-                .iter()
-                .map(|t| self.run_with_cancel(t, cancel))
-                .collect();
+            return tasks.iter().map(|t| self.run(t, cancel)).collect();
         }
 
         // Cap combined batch × branch parallelism: `jobs` workers share
@@ -114,32 +101,18 @@ impl Engine {
         };
         let engine: &Engine = worker_engine.as_ref().unwrap_or(self);
 
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<RunResult, Error>>>> =
-            Mutex::new((0..tasks.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else { break };
-                    // A tripped token drains the remaining tasks without
-                    // running them; the collect below reports Cancelled
-                    // for the unstarted slots.
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let result = engine.run_with_cancel(task, cancel);
-                    slots.lock().expect("no poisoned workers")[i] = Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|slot| slot.unwrap_or(Err(Error::Cancelled)))
-            .collect()
+        // A tripped token drains the remaining tasks without running
+        // them; their unclaimed slots report Cancelled.
+        par_map_ordered(
+            tasks,
+            jobs,
+            cancel,
+            || (),
+            |_, task| engine.run(task, cancel),
+        )
+        .into_iter()
+        .map(|slot| slot.unwrap_or(Err(Error::Cancelled)))
+        .collect()
     }
 }
 
@@ -185,9 +158,11 @@ mod tests {
     #[test]
     fn batch_equals_sequential_for_any_job_count() {
         let (engine, tasks) = engine_and_tasks();
-        let sequential = engine.run_batch(&tasks, 1).unwrap();
+        let sequential = engine.run_batch(&tasks, 1, &CancelToken::never()).unwrap();
         for jobs in [2, 4, 16] {
-            let batched = engine.run_batch(&tasks, jobs).unwrap();
+            let batched = engine
+                .run_batch(&tasks, jobs, &CancelToken::never())
+                .unwrap();
             assert_eq!(batched.len(), sequential.len());
             for (b, s) in batched.iter().zip(&sequential) {
                 assert_eq!(b.program, s.program, "jobs={jobs}");
@@ -201,13 +176,18 @@ mod tests {
         let (engine, mut tasks) = engine_and_tasks();
         tasks[1].unlabeled.push(crate::store::PageId::forged(1000));
         tasks[3].unlabeled.push(crate::store::PageId::forged(2000));
-        let err = engine.run_batch(&tasks, 4).unwrap_err();
+        let err = engine
+            .run_batch(&tasks, 4, &CancelToken::never())
+            .unwrap_err();
         assert_eq!(err, Error::UnknownPage(crate::store::PageId::forged(1000)));
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let (engine, _) = engine_and_tasks();
-        assert!(engine.run_batch(&[], 8).unwrap().is_empty());
+        assert!(engine
+            .run_batch(&[], 8, &CancelToken::never())
+            .unwrap()
+            .is_empty());
     }
 }

@@ -1,12 +1,10 @@
 //! The session-oriented engine: shared page storage plus the staged
 //! pipeline.
 //!
-//! [`WebQa::run`](crate::WebQa::run) is one-shot: it re-parses and clones
-//! every page per call and exposes nothing between "question in" and
-//! "answers out". The paper's workflow is not one-shot — Figure 1 runs
-//! synthesis over a few labeled pages and selection over many unlabeled
-//! ones, and the Section 7 interactive-labeling loop re-runs synthesis
-//! after each new label. The [`Engine`] serves that workflow:
+//! The paper's workflow is not one-shot — Figure 1 runs synthesis over a
+//! few labeled pages and selection over many unlabeled ones, and the
+//! Section 7 interactive-labeling loop re-runs synthesis after each new
+//! label. The [`Engine`] serves that workflow:
 //!
 //! * pages are interned once in a [`PageStore`] and referenced by
 //!   [`PageId`] — no `PageTree` is deep-cloned on the run path;
@@ -15,9 +13,10 @@
 //!   [`Selected::answers`] — so callers can inspect or loop on any stage
 //!   (add a label and re-synthesize without re-doing anything else);
 //! * errors are values ([`Error`]), not panics;
-//! * independent tasks batch through
+//! * [`Engine::run`] runs the stages back to back on one task, and
+//!   independent tasks batch through
 //!   [`Engine::run_batch`](crate::Engine::run_batch) (see
-//!   [`crate::batch`]).
+//!   [`crate::batch`]); both take a [`CancelToken`].
 
 use std::sync::Arc;
 
@@ -29,8 +28,7 @@ use crate::store::{PageId, PageStore};
 use webqa_dsl::{PageTree, Program, QueryContext};
 use webqa_select::{select_from_ensemble, select_random, select_shortest, Ensemble};
 use webqa_synth::{
-    synthesize_cancellable, synthesize_with_features, CancelToken, Example, PageBaseFeatures,
-    PageFeatures, SynthesisOutcome,
+    synthesize_cancellable, CancelToken, Example, PageBaseFeatures, PageFeatures, SynthesisOutcome,
 };
 
 /// One extraction task over pages interned in an engine's store.
@@ -205,22 +203,17 @@ impl Engine {
             .unwrap_or_default()
     }
 
-    /// Loads every snapshot entry from the attached sink: pages are
-    /// re-interned into this engine's store (content-addressing dedups
-    /// against anything already present) and verified base-feature
-    /// tables are seeded into the cache's base tier. No-op without a
-    /// sink. See [`Engine::load_snapshot_filtered`] for sharded loads.
-    pub fn load_snapshot(&mut self) {
-        self.load_snapshot_filtered(|_| true);
-    }
-
-    /// [`Engine::load_snapshot`] restricted to content digests
-    /// satisfying `keep` — a digest-routed shard passes its ownership
-    /// predicate so an N-shard warm start reads each entry exactly once
-    /// fleet-wide. Entries failing verification are skipped (counted in
+    /// Loads the snapshot entries whose content digest satisfies `keep`
+    /// from the attached sink: pages are re-interned into this engine's
+    /// store (content-addressing dedups against anything already
+    /// present) and verified base-feature tables are seeded into the
+    /// cache's base tier. Pass `|_| true` to load everything; a
+    /// digest-routed shard passes its ownership predicate so an N-shard
+    /// warm start reads each entry exactly once fleet-wide. Entries
+    /// failing verification are skipped (counted in
     /// [`PersistStats::corrupt_skipped`]): recovery degrades to a cold
-    /// miss, never a wrong answer.
-    pub fn load_snapshot_filtered(&mut self, keep: impl Fn(u64) -> bool) {
+    /// miss, never a wrong answer. No-op without a sink.
+    pub fn load_snapshot(&mut self, keep: impl Fn(u64) -> bool) {
         let Some(sink) = self.persist.clone() else {
             return;
         };
@@ -331,35 +324,27 @@ impl Engine {
         Ok(prepared)
     }
 
-    /// Runs the full staged pipeline on one task, through the engine's
-    /// completed-run LRU: a repeat of an identical task under an
-    /// identical config is a cache hit, returning the stored result —
-    /// byte-identical to recomputation because the pipeline is
-    /// deterministic in (task, config).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownPage`] — see [`Engine::prepare`].
-    pub fn run(&self, task: &Task) -> Result<RunResult, Error> {
-        self.run_with_cancel(task, &CancelToken::never())
-    }
-
-    /// [`Engine::run`] under a cooperative [`CancelToken`] — the
-    /// serving layer's per-request deadline path.
+    /// Runs the full staged pipeline on one task under a cooperative
+    /// [`CancelToken`], through the engine's completed-run LRU: a repeat
+    /// of an identical task under an identical config is a cache hit,
+    /// returning the stored result — byte-identical to recomputation
+    /// because the pipeline is deterministic in (task, config).
     ///
     /// The token is checked before the run starts (a pre-tripped token —
     /// e.g. a request whose deadline expired while queued — returns
     /// [`Error::Cancelled`] without touching the engine) and once per
     /// guard step inside synthesis, so a trip aborts within one
-    /// enumerator step per in-flight branch worker. Cancellation never
+    /// enumerator step per in-flight branch worker. Pass
+    /// [`CancelToken::never`] for an unbounded run, or
+    /// [`CancelToken::after`] for a wall-clock budget. Cancellation never
     /// poisons the caches: a cancelled run inserts nothing, and a run
     /// that completes is byte-identical to one without a token.
     ///
     /// # Errors
     ///
     /// [`Error::Cancelled`] when the token trips mid-run;
-    /// [`Error::UnknownPage`] as for [`Engine::run`].
-    pub fn run_with_cancel(&self, task: &Task, cancel: &CancelToken) -> Result<RunResult, Error> {
+    /// [`Error::UnknownPage`] — see [`Engine::prepare`].
+    pub fn run(&self, task: &Task, cancel: &CancelToken) -> Result<RunResult, Error> {
         if cancel.is_cancelled() {
             return Err(Error::Cancelled);
         }
@@ -375,22 +360,6 @@ impl Engine {
             .results
             .insert(self.config_digest, task, result.clone());
         Ok(result)
-    }
-
-    /// [`Engine::run`] with a wall-clock latency budget measured from
-    /// now: sugar for [`Engine::run_with_cancel`] over
-    /// [`CancelToken::after`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Cancelled`] when the budget is exhausted mid-run;
-    /// [`Error::UnknownPage`] as for [`Engine::run`].
-    pub fn run_with_deadline(
-        &self,
-        task: &Task,
-        budget: std::time::Duration,
-    ) -> Result<RunResult, Error> {
-        self.run_with_cancel(task, &CancelToken::after(budget))
     }
 
     /// A clone of this engine sharing the page store (cheap: `Arc`
@@ -490,36 +459,12 @@ impl<'e> Prepared<'e> {
         self.examples.push(Example::new(page, gold));
     }
 
-    /// Adds a labeled page by store handle without touching the
-    /// unlabeled set.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownPage`] when the handle is foreign to the engine's
-    /// store.
-    pub fn add_label(&mut self, page: PageId, gold: Vec<String>) -> Result<(), Error> {
-        let tree = Arc::clone(self.engine.store.get(page)?);
-        if !self.engine.config.synth.reference_kernels {
-            self.features.push(self.fetch_features(page, &tree));
-        }
-        self.examples.push(Example::new(tree, gold));
-        Ok(())
-    }
-
     /// Stage 2: synthesizes **all** optimal programs on the current
     /// labeled set (Section 5), reusing the prepared (possibly
     /// cache-borrowed) feature tables.
     pub fn synthesize(self) -> Synthesized<'e> {
-        let outcome = synthesize_with_features(
-            &self.engine.config.synth,
-            &self.ctx,
-            &self.examples,
-            &self.features,
-        );
-        Synthesized {
-            prepared: self,
-            outcome,
-        }
+        self.synthesize_cancellable(&CancelToken::never())
+            .expect("a never-token cannot cancel")
     }
 
     /// [`Prepared::synthesize`] under a cooperative [`CancelToken`]
@@ -710,7 +655,7 @@ mod tests {
         let (engine, a, b, c) = engine_with_pages();
         let t = task(a, b, c);
         let staged = engine.prepare(&t).unwrap().synthesize().select().finish();
-        let one_shot = engine.run(&t).unwrap();
+        let one_shot = engine.run(&t, &CancelToken::never()).unwrap();
         assert_eq!(staged.program, one_shot.program);
         assert_eq!(staged.answers, one_shot.answers);
         assert!(staged.answers[0].iter().any(|s| s.contains("Wei Chen")));
@@ -738,7 +683,7 @@ mod tests {
             .with_label(a, vec!["Jane Doe".into()])
             .with_target(PageId::forged(99));
         assert_eq!(
-            engine.run(&bad).unwrap_err(),
+            engine.run(&bad, &CancelToken::never()).unwrap_err(),
             Error::UnknownPage(PageId::forged(99))
         );
     }
@@ -802,7 +747,7 @@ mod tests {
     fn repeat_queries_hit_the_cross_request_caches() {
         let (engine, a, b, c) = engine_with_pages();
         let t = task(a, b, c);
-        let first = engine.run(&t).unwrap();
+        let first = engine.run(&t, &CancelToken::never()).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(stats.feature_hits, 0);
         assert_eq!(stats.feature_misses, 2, "two labeled pages, two tables");
@@ -811,7 +756,7 @@ mod tests {
 
         // The identical repeat is a result-cache hit with an identical
         // payload.
-        let second = engine.run(&t).unwrap();
+        let second = engine.run(&t, &CancelToken::never()).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(stats.result_hits, 1);
         assert_eq!(second.program, first.program);
@@ -821,7 +766,7 @@ mod tests {
         // A *different* task over the same labeled pages misses the
         // result cache but reuses both feature tables.
         let variant = task(a, b, c).with_target(b);
-        let _ = engine.run(&variant).unwrap();
+        let _ = engine.run(&variant, &CancelToken::never()).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(stats.result_hits, 1);
         assert_eq!(stats.result_misses, 2);
@@ -842,10 +787,10 @@ mod tests {
         // Reuse the same engine twice vs a cache-disabled twin.
         let t = task(a, b, c);
         let warm = {
-            let _ = cached.run(&t).unwrap();
-            cached.run(&t).unwrap()
+            let _ = cached.run(&t, &CancelToken::never()).unwrap();
+            cached.run(&t, &CancelToken::never()).unwrap()
         };
-        let reference = cold.run(&t).unwrap();
+        let reference = cold.run(&t, &CancelToken::never()).unwrap();
         assert_eq!(warm.program, reference.program);
         assert_eq!(warm.answers, reference.answers);
         assert_eq!(warm.synthesis.f1, reference.synthesis.f1);
@@ -860,9 +805,9 @@ mod tests {
         let (engine, a, b, c) = engine_with_pages();
         let t = task(a, b, c);
         let clone = engine.clone();
-        let _ = clone.run(&t).unwrap();
+        let _ = clone.run(&t, &CancelToken::never()).unwrap();
         assert_eq!(engine.cache_stats().result_misses, 1);
-        let _ = engine.run(&t).unwrap();
+        let _ = engine.run(&t, &CancelToken::never()).unwrap();
         assert_eq!(engine.cache_stats().result_hits, 1);
     }
 
@@ -874,32 +819,29 @@ mod tests {
         // Pre-tripped token: no work, no cache traffic.
         let pre = CancelToken::never();
         pre.cancel();
-        assert_eq!(
-            engine.run_with_cancel(&t, &pre).unwrap_err(),
-            Error::Cancelled
-        );
+        assert_eq!(engine.run(&t, &pre).unwrap_err(), Error::Cancelled);
         assert_eq!(engine.cache_stats().result_misses, 0);
 
         // Mid-run trip (deterministic step budget): typed error, and the
         // aborted run cached nothing — the later full run still misses.
         let mid = CancelToken::with_step_budget(3);
-        assert_eq!(
-            engine.run_with_cancel(&t, &mid).unwrap_err(),
-            Error::Cancelled
-        );
-        let full = engine.run(&t).unwrap();
+        assert_eq!(engine.run(&t, &mid).unwrap_err(), Error::Cancelled);
+        let full = engine.run(&t, &CancelToken::never()).unwrap();
         assert_eq!(engine.cache_stats().result_hits, 0);
 
         // The post-cancel result is byte-identical to a cold engine's.
         let cold = Engine::with_store(engine.config().clone(), engine.store().clone());
-        let reference = cold.run(&t).unwrap();
+        let reference = cold.run(&t, &CancelToken::never()).unwrap();
         assert_eq!(full.program, reference.program);
         assert_eq!(full.answers, reference.answers);
         assert_eq!(full.synthesis.stats, reference.synthesis.stats);
 
         // A generous deadline never trips: identical to the plain run.
         let relaxed = engine
-            .run_with_deadline(&t, std::time::Duration::from_secs(3600))
+            .run(
+                &t,
+                &CancelToken::after(std::time::Duration::from_secs(3600)),
+            )
             .unwrap();
         assert_eq!(relaxed.program, full.program);
         assert_eq!(relaxed.answers, full.answers);
@@ -909,7 +851,7 @@ mod tests {
     fn empty_labels_yield_no_program_not_a_panic() {
         let (engine, _, _, c) = engine_with_pages();
         let t = Task::new("Who?", ["K"]).with_target(c);
-        let result = engine.run(&t).unwrap();
+        let result = engine.run(&t, &CancelToken::never()).unwrap();
         assert!(result.program.is_none());
         assert_eq!(result.answers, vec![Vec::<String>::new()]);
     }

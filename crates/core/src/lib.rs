@@ -37,11 +37,12 @@
 //! # Ok::<(), webqa::Error>(())
 //! ```
 //!
-//! Independent tasks batch through [`Engine::run_batch`], which fans them
-//! out over a scoped threadpool with deterministic, input-ordered
-//! results. The pre-engine one-shot facade survives as [`WebQa::run`], a
-//! thin compatibility wrapper that interns the caller's pages into a
-//! throwaway engine.
+//! [`Engine::run`] runs the four stages back to back on one task, through
+//! the engine's completed-run cache, and independent tasks batch through
+//! [`Engine::run_batch`], which fans them out over the ordered worker
+//! pool ([`webqa_synth::par_map_ordered`]) with deterministic,
+//! input-ordered results. Both take a [`CancelToken`] — pass
+//! [`CancelToken::never`] for an unbounded run.
 //!
 //! The crate also provides the paper's *interactive labeling* helper
 //! ([`suggest_labels`], Section 7), which clusters the target pages and

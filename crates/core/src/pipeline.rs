@@ -1,16 +1,9 @@
-//! The one-shot WebQA pipeline facade (Figure 1 of the paper):
-//! query + labeled pages → optimal programs → transductive selection →
-//! answers for every unlabeled page.
-//!
-//! [`WebQa`] is a thin compatibility wrapper over the staged
-//! [`Engine`](crate::Engine): it builds a throwaway engine, interns the
-//! caller's pages, and runs the stages back to back. Callers that run
-//! more than one query over the same pages, need intermediate stages, or
-//! want typed errors should use the engine directly.
+//! Pipeline configuration and results (Figure 1 of the paper: query +
+//! labeled pages → optimal programs → transductive selection → answers
+//! for every unlabeled page), run by the staged [`Engine`](crate::Engine).
 
-use crate::engine::{Engine, Task};
 use crate::error::Error;
-use webqa_dsl::{PageTree, Program, QueryContext};
+use webqa_dsl::{Program, QueryContext};
 use webqa_metrics::{Counts, Score};
 use webqa_select::SelectionConfig;
 use webqa_synth::{SynthConfig, SynthesisOutcome};
@@ -57,10 +50,11 @@ pub struct Config {
     pub cache: crate::CacheConfig,
 }
 
-/// The WebQA system.
+/// The query-side view of a [`Config`]: maps its [`Modality`] onto a
+/// [`QueryContext`]. Runs go through [`Engine`](crate::Engine).
 #[derive(Debug, Clone, Default)]
 pub struct WebQa {
-    config: Config,
+    modality: Modality,
 }
 
 /// Everything a pipeline run produces.
@@ -75,48 +69,16 @@ pub struct RunResult {
 }
 
 impl WebQa {
-    /// Creates the system with the given configuration.
+    /// The query side of `config`.
     pub fn new(config: Config) -> Self {
-        WebQa { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
+        WebQa {
+            modality: config.modality,
+        }
     }
 
     /// Builds the query context for the configured modality.
     pub fn context<S: AsRef<str>>(&self, question: &str, keywords: &[S]) -> QueryContext {
-        context_for(self.config.modality, question, keywords)
-    }
-
-    /// Runs the full pipeline: synthesize all optimal programs from the
-    /// labeled pages, select one (transductively, against the unlabeled
-    /// pages), and extract answers from every unlabeled page.
-    ///
-    /// Compatibility shim: interns the given pages into a throwaway
-    /// [`Engine`] (this is where the one deep copy per page happens) and
-    /// runs the staged pipeline. Engine callers skip that copy entirely.
-    pub fn run<S: AsRef<str>>(
-        &self,
-        question: &str,
-        keywords: &[S],
-        labeled: &[(PageTree, Vec<String>)],
-        unlabeled: &[PageTree],
-    ) -> RunResult {
-        let mut engine = Engine::new(self.config.clone());
-        let mut task = Task::new(question, keywords.iter().map(|k| k.as_ref().to_string()));
-        for (page, gold) in labeled {
-            let id = engine.store_mut().insert_tree(page.clone());
-            task.labeled.push((id, gold.clone()));
-        }
-        for page in unlabeled {
-            let id = engine.store_mut().insert_tree(page.clone());
-            task.unlabeled.push(id);
-        }
-        engine
-            .run(&task)
-            .expect("ids interned in this engine always resolve")
+        context_for(self.modality, question, keywords)
     }
 }
 
@@ -160,6 +122,9 @@ pub fn score_answers(answers: &[Vec<String>], gold: &[Vec<String>]) -> Result<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Task};
+    use webqa_dsl::PageTree;
+    use webqa_synth::CancelToken;
 
     fn labeled() -> Vec<(PageTree, Vec<String>)> {
         vec![
@@ -186,14 +151,33 @@ mod tests {
         )]
     }
 
+    /// Interns the pages into a fresh engine and runs the task.
+    fn run(
+        config: Config,
+        question: &str,
+        keywords: &[&str],
+        labeled: Vec<(PageTree, Vec<String>)>,
+    ) -> RunResult {
+        let mut engine = Engine::new(config);
+        let task = Task::from_split(
+            question,
+            keywords.iter().copied(),
+            engine.store_mut(),
+            labeled,
+            unlabeled(),
+        );
+        engine
+            .run(&task, &CancelToken::never())
+            .expect("ids interned in this engine always resolve")
+    }
+
     #[test]
     fn end_to_end_extracts_from_unseen_page() {
-        let system = WebQa::new(Config::default());
-        let result = system.run(
+        let result = run(
+            Config::default(),
             "Who are the current PhD students?",
             &["Students", "PhD"],
-            &labeled(),
-            &unlabeled(),
+            labeled(),
         );
         assert!(result.program.is_some());
         assert!(result.synthesis.f1 > 0.99);
@@ -248,8 +232,7 @@ mod tests {
 
     #[test]
     fn no_labels_no_program() {
-        let system = WebQa::new(Config::default());
-        let result = system.run("Who?", &["K"], &[], &unlabeled());
+        let result = run(Config::default(), "Who?", &["K"], Vec::new());
         assert!(result.program.is_none());
         assert_eq!(result.answers, vec![Vec::<String>::new()]);
     }
@@ -265,12 +248,11 @@ mod tests {
                 strategy,
                 ..Config::default()
             };
-            let system = WebQa::new(cfg);
-            let result = system.run(
+            let result = run(
+                cfg,
                 "Who are the current PhD students?",
                 &["Students", "PhD"],
-                &labeled(),
-                &unlabeled(),
+                labeled(),
             );
             assert!(result.program.is_some(), "strategy {strategy:?}");
         }

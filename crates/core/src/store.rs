@@ -1,11 +1,10 @@
 //! Shared, interned page storage.
 //!
 //! Every stage of the pipeline — synthesis examples, the transductive
-//! ensemble, answer extraction — reads pages. Before the engine API, each
-//! `WebQa::run` call deep-cloned every [`PageTree`] it was handed; the
-//! [`PageStore`] instead parses/interns a page once and hands out cheap
-//! [`PageId`] handles backed by `Arc<PageTree>`, so concurrent batch
-//! tasks and repeated interactive-labeling rounds share one copy.
+//! ensemble, answer extraction — reads pages. The [`PageStore`]
+//! parses/interns a page once and hands out cheap [`PageId`] handles
+//! backed by `Arc<PageTree>`, so concurrent batch tasks and repeated
+//! interactive-labeling rounds share one copy of every [`PageTree`].
 //!
 //! Insertion is content-addressed: inserting the same HTML (or a
 //! structurally identical tree) twice returns the *same* `PageId` and the

@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 
-use webqa::{CacheConfig, Config, Engine, PageStore, PersistSink, SynthConfig, Task};
+use webqa::{CacheConfig, CancelToken, Config, Engine, PageStore, PersistSink, SynthConfig, Task};
 
 /// The task pool: overlapping page/question combinations so feature keys
 /// are shared across tasks (hits), and enough *distinct* (page, query)
@@ -104,8 +104,12 @@ fn engine_with(cache: CacheConfig, store: PageStore) -> Engine {
 /// asserting field-by-field equality at every step.
 fn assert_sequence_equal(cached: &Engine, reference: &Engine, tasks: &[Task], seq: &[usize]) {
     for (step, &i) in seq.iter().enumerate() {
-        let got = cached.run(&tasks[i]).expect("store-issued ids resolve");
-        let want = reference.run(&tasks[i]).expect("store-issued ids resolve");
+        let got = cached
+            .run(&tasks[i], &CancelToken::never())
+            .expect("store-issued ids resolve");
+        let want = reference
+            .run(&tasks[i], &CancelToken::never())
+            .expect("store-issued ids resolve");
         assert_eq!(got.program, want.program, "program, step {step} task {i}");
         assert_eq!(got.answers, want.answers, "answers, step {step} task {i}");
         assert_eq!(
@@ -269,10 +273,14 @@ fn pipeline_is_invariant_to_keyword_and_gold_order_only() {
     let engine = engine_with(CacheConfig::disabled(), store);
 
     for (i, task) in tasks.iter().enumerate() {
-        let base = engine.run(task).expect("store-issued ids resolve");
+        let base = engine
+            .run(task, &CancelToken::never())
+            .expect("store-issued ids resolve");
         for salt in 1..4 {
             let variant = respelled(task, salt);
-            let got = engine.run(&variant).expect("store-issued ids resolve");
+            let got = engine
+                .run(&variant, &CancelToken::never())
+                .expect("store-issued ids resolve");
             assert_eq!(base.program, got.program, "program, task {i} salt {salt}");
             assert_eq!(base.answers, got.answers, "answers, task {i} salt {salt}");
             assert_eq!(
@@ -302,12 +310,18 @@ fn reordered_requests_hit_the_result_cache() {
 
     // Cold fill, then three equivalent respellings: every one a hit,
     // every one byte-equal to the reference run of its exact spelling.
-    cached.run(&tasks[0]).expect("store-issued ids resolve");
+    cached
+        .run(&tasks[0], &CancelToken::never())
+        .expect("store-issued ids resolve");
     assert_eq!(cached.cache_stats().result_hits, 0);
     for salt in 1..4 {
         let variant = respelled(&tasks[0], salt);
-        let got = cached.run(&variant).expect("store-issued ids resolve");
-        let want = reference.run(&variant).expect("store-issued ids resolve");
+        let got = cached
+            .run(&variant, &CancelToken::never())
+            .expect("store-issued ids resolve");
+        let want = reference
+            .run(&variant, &CancelToken::never())
+            .expect("store-issued ids resolve");
         assert_eq!(got.program, want.program, "salt {salt}");
         assert_eq!(got.answers, want.answers, "salt {salt}");
         assert_eq!(got.synthesis.stats, want.synthesis.stats, "salt {salt}");
@@ -323,8 +337,12 @@ fn reordered_requests_hit_the_result_cache() {
     // (and still match the reference for that exact ordering).
     let mut flipped = tasks[0].clone();
     flipped.labeled.reverse();
-    let got = cached.run(&flipped).expect("store-issued ids resolve");
-    let want = reference.run(&flipped).expect("store-issued ids resolve");
+    let got = cached
+        .run(&flipped, &CancelToken::never())
+        .expect("store-issued ids resolve");
+    let want = reference
+        .run(&flipped, &CancelToken::never())
+        .expect("store-issued ids resolve");
     assert_eq!(got.program, want.program);
     assert_eq!(got.answers, want.answers);
     let stats = cached.cache_stats();
@@ -362,7 +380,8 @@ fn spill_after(dir: &std::path::Path, seq: &[usize]) {
     )
     .with_persist(PersistSink::open(dir).expect("temp snapshot dir is writable"));
     for &i in seq {
-        warm.run(&tasks[i]).expect("store-issued ids resolve");
+        warm.run(&tasks[i], &CancelToken::never())
+            .expect("store-issued ids resolve");
     }
     warm.spill_snapshot();
 }
@@ -395,7 +414,7 @@ proptest! {
             PageStore::new(),
         )
         .with_persist(PersistSink::open(&dir).expect("temp snapshot dir is writable"));
-        reloaded.load_snapshot();
+        reloaded.load_snapshot(|_| true);
         let loaded = reloaded.persist_stats();
         prop_assert!(loaded.pages_loaded > 0, "spill left no pages: {loaded:?}");
         prop_assert!(loaded.base_loaded > 0, "spill left no base tables: {loaded:?}");
@@ -452,7 +471,7 @@ fn truncated_snapshot_degrades_to_cold_miss_never_wrong_answer() {
         PageStore::new(),
     )
     .with_persist(PersistSink::open(&dir).expect("temp snapshot dir is writable"));
-    reloaded.load_snapshot();
+    reloaded.load_snapshot(|_| true);
     let stats = reloaded.persist_stats();
     assert_eq!(
         stats.pages_loaded, 0,

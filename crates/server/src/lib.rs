@@ -835,9 +835,7 @@ impl Server {
                 // lock: concurrent workers proceed in parallel, and only
                 // *this shard's* interns serialize against them.
                 let engine = relock(self.shared.shards.get(home).engine.read());
-                let result = engine
-                    .run_with_cancel(&task, token)
-                    .map_err(|e| self.engine_err(e))?;
+                let result = engine.run(&task, token).map_err(|e| self.engine_err(e))?;
                 Ok(render_run_result(&result))
             }
             HeavyKind::Batch(tasks) => {
@@ -866,7 +864,7 @@ impl Server {
                     };
                     let engine = relock(self.shared.shards.get(shard).engine.read());
                     let results = engine
-                        .run_batch_with_cancel(&group, self.shared.batch_jobs, token)
+                        .run_batch(&group, self.shared.batch_jobs, token)
                         .map_err(|e| self.engine_err(e))?;
                     for (slot, result) in indices.into_iter().zip(results.iter()) {
                         rendered[slot] = render_run_result(result);

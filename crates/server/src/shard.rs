@@ -110,7 +110,7 @@ impl ShardSet {
                         // every snapshot entry once and placement agrees
                         // with live interning.
                         let n = count as u64;
-                        engine.load_snapshot_filtered(|d| d % n == i as u64);
+                        engine.load_snapshot(|d| d % n == i as u64);
                     }
                     EngineShard {
                         engine: RwLock::new(engine),

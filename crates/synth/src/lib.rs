@@ -55,7 +55,9 @@
 //!   dominated candidates never materialize.
 //!
 //! Partition blocks can additionally be solved in parallel inside one
-//! task ([`SynthConfig::jobs`]) with a deterministic merge.
+//! task ([`SynthConfig::jobs`]) with a deterministic merge, on
+//! [`par_map_ordered`] — the ordered worker pool that `webqa`'s batch
+//! runner shares.
 //!
 //! The search can be abandoned cooperatively: [`synthesize_cancellable`]
 //! threads a [`CancelToken`] (explicit cancel, wall-clock deadline, or
@@ -87,6 +89,7 @@ mod example;
 mod extractors;
 mod guards;
 pub mod oracle;
+mod par;
 mod pool;
 mod scorer;
 mod stats;
@@ -95,6 +98,7 @@ mod top;
 pub use cancel::{CancelToken, Cancelled};
 pub use config::SynthConfig;
 pub use example::{counts_of_outputs, extractor_outputs, f1_of_outputs, program_counts, Example};
+pub use par::par_map_ordered;
 pub use scorer::{PageBaseFeatures, PageFeatures};
 pub use stats::SynthStats;
-pub use top::{synthesize, synthesize_cancellable, synthesize_with_features, SynthesisOutcome};
+pub use top::{synthesize, synthesize_cancellable, SynthesisOutcome};

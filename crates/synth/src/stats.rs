@@ -19,7 +19,9 @@ pub struct SynthStats {
     /// blocks the lazy sequential scan would have skipped).
     pub branch_calls: usize,
     /// Partition-block synthesis results served from the top-level
-    /// `(E⁺, E⁻)` memo (Figure 7).
+    /// `(E⁺, E⁻)` memo (Figure 7). Always 0 at `max_blocks ≤ 2`: there
+    /// every block key occurs in exactly one ordered partition, so only a
+    /// third block lets partitions share a key.
     pub memo_hits: usize,
     /// Extractor-synthesis results shared across guards over the same
     /// section locator (the footnote 6 memo inside one branch problem).

@@ -4,15 +4,14 @@
 //!
 //! Partition blocks are independent (E⁺, E⁻) problems memoized by example
 //! bitmask. With `SynthConfig::jobs > 1` the distinct block problems are
-//! solved up-front on a scoped worker pool (the same pattern as
-//! `webqa::Engine::run_batch`, one level down) and the partition
+//! solved up-front on the ordered worker pool ([`par_map_ordered`], which
+//! `webqa::Engine::run_batch` uses one level up) and the partition
 //! assembly then reads the finished results — the merge is performed in
 //! first-encounter key order, so programs, counts, and F₁ are
 //! byte-identical to the sequential run regardless of worker count.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use webqa_dsl::{Branch, Extractor, Guard, Program, QueryContext};
 use webqa_metrics::Counts;
@@ -22,6 +21,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SynthConfig;
 use crate::example::Example;
 use crate::extractors::F1_EPS;
+use crate::par::par_map_ordered;
 use crate::scorer::{PageFeatures, StrTable, TaskCtx};
 use crate::stats::SynthStats;
 
@@ -47,13 +47,15 @@ pub struct SynthesisOutcome {
 /// Partitions of more than `config.max_blocks` blocks are not considered;
 /// with `max_blocks ≥ |examples|` the search matches the paper exactly.
 pub fn synthesize(cfg: &SynthConfig, ctx: &QueryContext, examples: &[Example]) -> SynthesisOutcome {
-    synthesize_with_features(cfg, ctx, examples, &[])
+    synthesize_cancellable(cfg, ctx, examples, &[], &CancelToken::never())
+        .expect("a never-token cannot cancel")
 }
 
-/// [`synthesize`] with caller-supplied per-example feature tables
-/// ([`PageFeatures`], aligned with `examples`; pass `&[]` — or tables
-/// that fail the shape check — to have them computed here).
+/// [`synthesize`] with caller-supplied per-example feature tables, under
+/// a cooperative [`CancelToken`].
 ///
+/// `features` are [`PageFeatures`] aligned with `examples`; pass `&[]` —
+/// or tables that fail the shape check — to have them computed here.
 /// This is the table-build/search split behind cross-request
 /// memoization: a long-lived `webqa::Engine` computes each page's table
 /// once per `(page, query, config)` and hands it back for every repeat
@@ -63,17 +65,6 @@ pub fn synthesize(cfg: &SynthConfig, ctx: &QueryContext, examples: &[Example]) -
 /// built for a different same-sized page or query is the caller's bug
 /// (key stored tables by page content and query/config, as the engine
 /// does).
-pub fn synthesize_with_features(
-    cfg: &SynthConfig,
-    ctx: &QueryContext,
-    examples: &[Example],
-    features: &[Arc<PageFeatures>],
-) -> SynthesisOutcome {
-    synthesize_cancellable(cfg, ctx, examples, features, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// [`synthesize_with_features`] under a cooperative [`CancelToken`].
 ///
 /// The token is checkpointed once on entry and once per guard step of
 /// every branch problem (including the branch-parallel workers), so a
@@ -144,40 +135,22 @@ pub fn synthesize_cancellable(
     let mut solved: Vec<Option<Option<Arc<BranchSynthesis>>>> = vec![None; keys.len()];
     let jobs = cfg.jobs.clamp(1, keys.len().max(1));
     if jobs > 1 {
-        // Solve every distinct block problem up-front on a scoped pool.
-        // This can touch blocks the lazy sequential scan would have
-        // skipped (blocks after a failing one in every containing
-        // partition): their full search counters accumulate into the
-        // stats, but the optimum and the program set cannot change.
-        type Slot = Option<(Option<BranchSynthesis>, SynthStats)>;
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Slot>> = Mutex::new((0..keys.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let mut table = StrTable::new(task.steps.len());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&key) = keys.get(i) else { break };
-                        // A tripped token drains the queue without
-                        // solving: the whole search is abandoned below.
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let result = solve(key, &mut table);
-                        slots.lock().expect("no poisoned workers")[i] = Some(result);
-                    }
-                });
-            }
-        });
+        // Solve every distinct block problem up-front on the pool, one
+        // string table per worker. This can touch blocks the lazy
+        // sequential scan would have skipped (blocks after a failing one
+        // in every containing partition): their full search counters
+        // accumulate into the stats, but the optimum and the program set
+        // cannot change.
+        let results = par_map_ordered(
+            &keys,
+            jobs,
+            cancel,
+            || StrTable::new(task.steps.len()),
+            |table, &key| solve(key, table),
+        );
         // Deterministic merge: stats accumulate in key order. Unclaimed
         // slots only exist after a cancel, which discards everything.
-        for (i, slot) in slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .enumerate()
-        {
+        for (i, slot) in results.into_iter().enumerate() {
             let Some((r, st)) = slot else { continue };
             stats += st;
             solved[i] = Some(r.map(Arc::new));
@@ -640,7 +613,11 @@ mod tests {
             .iter()
             .map(|ex| Arc::new(PageFeatures::compute(&cfg, &c, &ex.page)))
             .collect();
-        let borrowed = synthesize_with_features(&cfg, &c, &examples, &tables);
+        let with_tables = |tables: &[Arc<PageFeatures>]| {
+            synthesize_cancellable(&cfg, &c, &examples, tables, &CancelToken::never())
+                .expect("a never-token cannot cancel")
+        };
+        let borrowed = with_tables(&tables);
         assert_eq!(borrowed.programs, fresh.programs);
         assert_eq!(borrowed.f1, fresh.f1);
         assert_eq!(borrowed.counts, fresh.counts);
@@ -653,7 +630,7 @@ mod tests {
             &c,
             &PageTree::parse("<p>unrelated</p>"),
         ))];
-        let recovered = synthesize_with_features(&cfg, &c, &examples, &wrong);
+        let recovered = with_tables(&wrong);
         assert_eq!(recovered.programs, fresh.programs);
         assert_eq!(recovered.stats, fresh.stats);
     }

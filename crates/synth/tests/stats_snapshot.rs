@@ -3,7 +3,7 @@
 //! The hot-path overhaul is only safe to evolve if a change that
 //! silently *loses* pruning, memoization, or behavioral dedup fails a
 //! test rather than a stopwatch. These tests pin the exact `SynthStats`
-//! counters of two fixed fixtures; any structural change to the search
+//! counters of three fixed fixtures; any structural change to the search
 //! (an extra candidate enumerated, a memo hit lost, a prune skipped)
 //! shifts a counter and trips the assertion.
 //!
@@ -117,6 +117,62 @@ fn service_fixture_stats_snapshot() {
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
     );
+}
+
+/// Fixture 3: three generated faculty pages, where a three-block
+/// partition exists. At `max_blocks ≤ 2` every `(E⁺, E⁻)` block key
+/// occurs in exactly one ordered partition, so the top-level memo cannot
+/// hit (both fixtures above pin `memo_hits: 0`); a third block lets
+/// partitions share keys.
+fn faculty_fixture(task_id: &str) -> (QueryContext, Vec<Example>) {
+    let task = webqa_corpus::task_by_id(task_id).expect("corpus task exists");
+    let ctx = QueryContext::new(task.question, task.keywords.to_vec());
+    let examples = webqa_corpus::generate_pages(task.domain, 3, 7)
+        .iter()
+        .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
+        .collect();
+    (ctx, examples)
+}
+
+fn three_block_cfg(jobs: usize) -> SynthConfig {
+    let mut c = SynthConfig::fast().with_jobs(jobs);
+    c.max_blocks = 3;
+    c
+}
+
+#[test]
+fn three_block_partitions_hit_the_top_level_memo() {
+    let (ctx, examples) = faculty_fixture("fac_t1");
+    let out = synthesize(&three_block_cfg(1), &ctx, &examples);
+    assert!(out.f1 > 0.99, "fixture must stay perfectly solvable");
+    assert_eq!(
+        out.stats,
+        SynthStats {
+            guards_yielded: 9205,
+            locators_expanded: 19538,
+            locators_pruned: 1659,
+            extractors_enumerated: 50229,
+            extractors_pruned: 24121,
+            branch_calls: 19,
+            memo_hits: 11,
+            locator_memo_hits: 6527,
+            analysis_pruned_guards: 24,
+            analysis_pruned_locators: 22944,
+            analysis_pruned_extractors: 205578,
+        },
+        "search-shape regression: pruning/memoization/dedup changed \
+         (re-pin deliberately, checking each delta's direction)"
+    );
+
+    // Memo hits count assembly lookups, so the branch-parallel solve
+    // (which solves every key up front) records the same number.
+    for (task_id, hits) in [("fac_t1", 11), ("fac_t2", 10), ("fac_t3", 6)] {
+        let (ctx, examples) = faculty_fixture(task_id);
+        for jobs in [1, 2] {
+            let stats = synthesize(&three_block_cfg(jobs), &ctx, &examples).stats;
+            assert_eq!(stats.memo_hits, hits, "{task_id} at jobs={jobs}");
+        }
+    }
 }
 
 /// The counters the snapshots pin must actually move in the direction

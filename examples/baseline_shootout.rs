@@ -5,7 +5,7 @@
 //! cargo run --example baseline_shootout [task_id]
 //! ```
 
-use webqa::{score_answers, Config, Engine, Score, Task};
+use webqa::{score_answers, CancelToken, Config, Engine, Score, Task};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{task_by_id, Corpus};
 
@@ -34,7 +34,9 @@ fn main() {
         spec.unlabeled
             .push(engine.store_mut().insert_tree(p.page.clone()));
     }
-    let webqa = engine.run(&spec).expect("ids from this store");
+    let webqa = engine
+        .run(&spec, &CancelToken::never())
+        .expect("ids from this store");
 
     // Baselines (they re-parse raw HTML themselves).
     let bert = BertQa::new();

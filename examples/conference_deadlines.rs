@@ -7,7 +7,7 @@
 //! cargo run --example conference_deadlines
 //! ```
 
-use webqa::{score_answers, Config, Engine, Task};
+use webqa::{score_answers, CancelToken, Config, Engine, Task};
 use webqa_baselines::BertQa;
 use webqa_corpus::{task_by_id, Corpus};
 
@@ -28,7 +28,9 @@ fn main() {
         spec.unlabeled
             .push(engine.store_mut().insert_tree(p.page.clone()));
     }
-    let result = engine.run(&spec).expect("ids from this store");
+    let result = engine
+        .run(&spec, &CancelToken::never())
+        .expect("ids from this store");
 
     // BERTQA on the same pages.
     let bert = BertQa::new();

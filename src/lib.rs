@@ -70,8 +70,9 @@
 //!   stages (`prepare` → `synthesize` → `select` → `answers`) so the
 //!   interactive-labeling loop and the ablations can drive any stage
 //!   alone, errors are a typed `webqa::Error`, and independent tasks
-//!   batch through `Engine::run_batch` on a scoped threadpool with
-//!   deterministic input-ordered results (the runner caps combined
+//!   batch through `Engine::run_batch` on the workspace's one ordered
+//!   worker pool (`webqa_synth::par_map_ordered`, which branch-parallel
+//!   synthesis shares) with deterministic input-ordered results (the runner caps combined
 //!   batch × branch-parallel worker counts against the hardware budget).
 //!   The engine additionally owns the cross-request caches: a sharded,
 //!   content-keyed **two-tier** `FeatureStore` — a query-*independent*
@@ -86,9 +87,10 @@
 //!   (`Engine::spill_snapshot` / `load_snapshot`), checksummed and
 //!   digest-verified on load so corruption degrades to a counted cold
 //!   miss — `crates/core/tests/cache_semantics.rs` pins persist →
-//!   reload → re-run equal to the never-cached reference. The
-//!   pre-engine one-shot facade survives as the thin `WebQa::run`
-//!   compatibility wrapper.
+//!   reload → re-run equal to the never-cached reference. Each
+//!   capability has one entry point: `Engine::run(&task, &cancel)` for
+//!   one task and `Engine::run_batch(&tasks, jobs, &cancel)` for many,
+//!   both under a cooperative `CancelToken`.
 //!   **Workloads** (`webqa_corpus`, `webqa_baselines`) provide the 25
 //!   evaluation tasks, the seeded page generators, and the three
 //!   baseline systems.
@@ -139,8 +141,8 @@
 //! This umbrella crate (`webqa-repro`) re-exports everything so the
 //! integration tests and examples can `use` one coherent surface.
 //!
-//! Third-party dependencies (`rand`, `proptest`, `criterion`, `serde`,
-//! `serde_json`) resolve to minimal offline stand-ins vendored under
+//! Third-party dependencies (`rand`, `proptest`, `serde`, `serde_json`)
+//! resolve to minimal offline stand-ins vendored under
 //! `compat/` — see `compat/README.md` for exactly what subset each
 //! implements and how to swap the real crates back in.
 

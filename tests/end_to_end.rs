@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline on generated corpus
 //! tasks, including the comparisons the evaluation section relies on.
 
-use webqa::{score_answers, Config, Engine, Modality, Selection, WebQa};
+use webqa::{score_answers, CancelToken, Config, Engine, Modality, Selection};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{task_by_id, Corpus, Task};
 
@@ -36,7 +36,9 @@ fn run_task(task_id: &str, config: Config) -> (webqa::Score, Option<webqa::Progr
     let corpus = corpus();
     let task = task_by_id(task_id).expect("task exists");
     let (engine, spec, gold) = engine_task(&corpus, task, config);
-    let result = engine.run(&spec).expect("ids from this store");
+    let result = engine
+        .run(&spec, &CancelToken::never())
+        .expect("ids from this store");
     (
         score_answers(&result.answers, &gold).expect("aligned"),
         result.program,
@@ -76,14 +78,17 @@ fn webqa_outperforms_flat_qa_on_multi_span_task() {
     let data = corpus.dataset(task, 5);
     let gold: Vec<_> = data.test.iter().map(|p| p.gold.clone()).collect();
 
-    let system = WebQa::new(Config::default());
-    let labeled: Vec<_> = data
-        .train
-        .iter()
-        .map(|p| (p.page.clone(), p.gold.clone()))
-        .collect();
-    let unlabeled: Vec<_> = data.test.iter().map(|p| p.page.clone()).collect();
-    let ours = system.run(task.question, task.keywords, &labeled, &unlabeled);
+    let mut engine = Engine::new(Config::default());
+    let spec = webqa::Task::from_split(
+        task.question,
+        task.keywords.iter().copied(),
+        engine.store_mut(),
+        data.train.iter().map(|p| (p.page.clone(), p.gold.clone())),
+        data.test.iter().map(|p| p.page.clone()),
+    );
+    let ours = engine
+        .run(&spec, &CancelToken::never())
+        .expect("ids from this store");
     let ours_score = score_answers(&ours.answers, &gold).expect("aligned");
 
     let bert = BertQa::new();
@@ -194,16 +199,22 @@ fn fewer_examples_never_crash_and_often_degrade() {
     let corpus = corpus();
     let task = task_by_id("conf_t2").unwrap();
     let data = corpus.dataset(task, 5);
-    let unlabeled: Vec<_> = data.test.iter().map(|p| p.page.clone()).collect();
     let gold: Vec<_> = data.test.iter().map(|p| p.gold.clone()).collect();
-    let system = WebQa::new(Config::default());
     let mut scores = Vec::new();
     for n in 1..=5 {
-        let labeled: Vec<_> = data.train[..n]
-            .iter()
-            .map(|p| (p.page.clone(), p.gold.clone()))
-            .collect();
-        let result = system.run(task.question, task.keywords, &labeled, &unlabeled);
+        let mut engine = Engine::new(Config::default());
+        let spec = webqa::Task::from_split(
+            task.question,
+            task.keywords.iter().copied(),
+            engine.store_mut(),
+            data.train[..n]
+                .iter()
+                .map(|p| (p.page.clone(), p.gold.clone())),
+            data.test.iter().map(|p| p.page.clone()),
+        );
+        let result = engine
+            .run(&spec, &CancelToken::never())
+            .expect("ids from this store");
         scores.push(score_answers(&result.answers, &gold).expect("aligned").f1);
     }
     assert_eq!(scores.len(), 5);

@@ -3,7 +3,7 @@
 //! program, and generalization to the structurally different page of
 //! Figure 3.
 
-use webqa::{Config, WebQa};
+use webqa::{CancelToken, Config, Engine, Task};
 use webqa_dsl::PageTree;
 
 /// Figure 2, top page (Jane Doe).
@@ -95,8 +95,11 @@ fn motivating_example_end_to_end() {
     ];
     let unlabeled = vec![PageTree::parse(PAGE_ROBERT)];
 
-    let system = WebQa::new(Config::default());
-    let result = system.run(QUESTION, &KEYWORDS, &labeled, &unlabeled);
+    let mut engine = Engine::new(Config::default());
+    let task = Task::from_split(QUESTION, KEYWORDS, engine.store_mut(), labeled, unlabeled);
+    let result = engine
+        .run(&task, &CancelToken::never())
+        .expect("ids from this store");
 
     // Key Idea #2: there may be no perfect program (the simulated NER
     // does not tag conference names as ORG), but the optimal F1 must be

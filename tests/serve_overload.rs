@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use webqa::{CacheConfig, Config, Engine, SynthConfig, Task};
+use webqa::{CacheConfig, CancelToken, Config, Engine, SynthConfig, Task};
 use webqa_corpus::{task_by_id, Corpus};
 use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server};
 
@@ -109,7 +109,9 @@ impl Spec {
             let id = engine.store_mut().insert_html(html).expect("clean HTML");
             task.unlabeled.push(id);
         }
-        let result = engine.run(&task).expect("ids resolve");
+        let result = engine
+            .run(&task, &CancelToken::never())
+            .expect("ids resolve");
         serde_json::to_string(&render_run_result(&result)).expect("serializable")
     }
 }
