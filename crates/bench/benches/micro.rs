@@ -14,7 +14,9 @@ use std::time::{Duration, Instant};
 
 use webqa_corpus::{generate_pages, Domain};
 use webqa_dsl::{PageTree, Program, QueryContext};
-use webqa_nlp::{keyword_similarity, EntityKind, EntityRecognizer, QaModel};
+use webqa_nlp::{
+    best_keyword_similarity, keyword_similarity, EntityKind, EntityRecognizer, QaModel,
+};
 use webqa_synth::{synthesize, Example, SynthConfig};
 
 /// Times `f`: doubles the iteration count until one sample takes at
@@ -76,6 +78,19 @@ fn bench_nlp() {
                 starting January 5, 2021 with Dr. Robert Smith.";
     bench("nlp/keyword_similarity", 20, || {
         keyword_similarity(black_box("Professional Services"), black_box("Committee"))
+    });
+    // A whole page's text: the per-window cost the two-word case hides.
+    // A fresh context per iteration, so every word is embedded cold. The
+    // keywords do not occur on the page, so no containment short-circuit.
+    let page = PageTree::parse(&sample_html());
+    let subtree = page.subtree_text(page.root());
+    let keywords = ["Insurance", "Plans Accepted"];
+    assert!(best_keyword_similarity(&subtree, &keywords) < 1.0);
+    bench("nlp/keyword_score_subtree", 10, || {
+        QueryContext::new("", keywords).keyword_score(black_box(&subtree))
+    });
+    bench("nlp/best_keyword_similarity_subtree", 10, || {
+        best_keyword_similarity(black_box(&subtree), &keywords)
     });
     bench("nlp/ner", 20, || ner.entities(black_box(text)));
     bench("nlp/ner_has_entity", 20, || {

@@ -3,9 +3,17 @@
 //!
 //! The synthesizer evaluates the same NLP predicates on the same strings
 //! thousands of times; a [`QueryContext`] caches `matchKeyword` scores, QA
-//! answerability, and recognized entities per string, which is what makes
+//! answer spans, and recognized entities per string, which is what makes
 //! enumerative search tractable (the real system relies on the same trick —
 //! neural-module calls dominate its synthesis time, Table 3).
+//!
+//! A `matchKeyword` miss runs the [`KeywordMatcher`] kernel, compiled once
+//! per context from `K`, over a per-context [`WordEmbeddings`] cache: each
+//! word is embedded once per context, and each score has the same bits as
+//! the definitional [`webqa_nlp::best_keyword_similarity`], which stays
+//! as the oracle the kernel is tested against. The word cache, like the
+//! per-string caches, lives as long as the context (one task), so it is
+//! bounded by the vocabulary of that task's pages.
 //!
 //! The caches are behind [`Mutex`]es (not `RefCell`s) so one context can
 //! be shared by the synthesizer's branch-level worker threads
@@ -16,32 +24,31 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use webqa_nlp::{best_keyword_similarity, Entity, EntityKind, EntityRecognizer, QaModel};
+use webqa_nlp::{Entity, EntityKind, EntityRecognizer, KeywordMatcher, QaModel, WordEmbeddings};
 
 /// The question/keyword inputs plus cached neural modules.
 #[derive(Debug)]
 pub struct QueryContext {
     question: String,
     keywords: Vec<String>,
+    matcher: KeywordMatcher,
     qa: QaModel,
     ner: EntityRecognizer,
     kw_cache: Mutex<HashMap<String, f64>>,
-    qa_cache: Mutex<HashMap<String, bool>>,
+    word_cache: WordEmbeddings,
+    qa_cache: Mutex<HashMap<String, Option<(usize, usize)>>>,
     ent_cache: Mutex<HashMap<String, Vec<Entity>>>,
 }
 
 impl QueryContext {
     /// Creates a context with the default pretrained models.
     pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(question: &str, keywords: I) -> Self {
-        QueryContext {
-            question: question.to_string(),
-            keywords: keywords.into_iter().map(Into::into).collect(),
-            qa: QaModel::pretrained(),
-            ner: EntityRecognizer::pretrained(),
-            kw_cache: Mutex::new(HashMap::new()),
-            qa_cache: Mutex::new(HashMap::new()),
-            ent_cache: Mutex::new(HashMap::new()),
-        }
+        Self::with_models(
+            question,
+            keywords,
+            QaModel::pretrained(),
+            EntityRecognizer::pretrained(),
+        )
     }
 
     /// A context with explicit neural modules instead of the pretrained
@@ -59,12 +66,15 @@ impl QueryContext {
         qa: QaModel,
         ner: EntityRecognizer,
     ) -> Self {
+        let keywords: Vec<String> = keywords.into_iter().map(Into::into).collect();
         QueryContext {
             question: question.to_string(),
-            keywords: keywords.into_iter().map(Into::into).collect(),
+            matcher: KeywordMatcher::new(&keywords),
+            keywords,
             qa,
             ner,
             kw_cache: Mutex::new(HashMap::new()),
+            word_cache: WordEmbeddings::new(),
             qa_cache: Mutex::new(HashMap::new()),
             ent_cache: Mutex::new(HashMap::new()),
         }
@@ -99,7 +109,7 @@ impl QueryContext {
         if let Some(&s) = self.kw_cache.lock().expect("cache lock").get(text) {
             return s;
         }
-        let s = f64::from(best_keyword_similarity(text, &self.keywords));
+        let s = f64::from(self.matcher.score(text, &self.word_cache));
         self.kw_cache
             .lock()
             .expect("cache lock")
@@ -107,40 +117,38 @@ impl QueryContext {
         s
     }
 
-    /// Whether the QA model finds an answer to `Q` in `text` (cached).
-    /// `false` when the context has no question.
+    /// Whether the QA model finds an answer to `Q` in `text` (cached via
+    /// [`QueryContext::answer_span`]). `false` when the context has no
+    /// question.
     pub fn has_answer(&self, text: &str) -> bool {
-        if self.question.is_empty() {
-            return false;
-        }
-        if let Some(&b) = self.qa_cache.lock().expect("cache lock").get(text) {
-            return b;
-        }
-        let b = self.qa.has_answer(text, &self.question);
-        self.qa_cache
-            .lock()
-            .expect("cache lock")
-            .insert(text.to_string(), b);
-        b
+        self.answer_span(text).is_some()
     }
 
-    /// The QA model's best answer span in `text`, if any (not cached — used
-    /// only during extraction, not search).
+    /// The QA model's best answer in `text`, if any (cached via
+    /// [`QueryContext::answer_span`]).
     pub fn answer(&self, text: &str) -> Option<String> {
-        if self.question.is_empty() {
-            return None;
-        }
-        self.qa.answer(text, &self.question).map(|a| a.text)
+        self.answer_span(text)
+            .map(|(s, e)| text[s..e].trim().to_string())
     }
 
-    /// Byte span of the QA model's best answer in `text`, if any.
+    /// Byte span of the QA model's best answer in `text`, if any (cached).
+    /// `None` when the context has no question.
     pub fn answer_span(&self, text: &str) -> Option<(usize, usize)> {
         if self.question.is_empty() {
             return None;
         }
-        self.qa
+        if let Some(&span) = self.qa_cache.lock().expect("cache lock").get(text) {
+            return span;
+        }
+        let span = self
+            .qa
             .answer(text, &self.question)
-            .map(|a| (a.start, a.end))
+            .map(|a| (a.start, a.end));
+        self.qa_cache
+            .lock()
+            .expect("cache lock")
+            .insert(text.to_string(), span);
+        span
     }
 
     /// All entities in `text` (cached).

@@ -14,6 +14,25 @@
 //!   a longer section title.
 //!
 //! Everything is deterministic — no model files, no RNG at query time.
+//!
+//! # Kernel and oracle
+//!
+//! [`keyword_similarity`] / [`best_keyword_similarity`] are the
+//! definitional functions: each call stems the text, embeds the keyword
+//! and embeds every word of every window from scratch. They are kept as
+//! the oracle the kernel is tested against, bit for bit.
+//!
+//! [`KeywordMatcher`] is the kernel the DSL runs. It compiles a keyword
+//! list once (stems, embedding, de-duplicated window widths) and scores a
+//! text by summing window and whole-text embeddings from per-word vectors
+//! held in a [`WordEmbeddings`] cache. Every sum, normalization, cosine
+//! and max happens in the oracle's order, so the score has the same
+//! `f32` bits. The cache holds one 64-float vector per distinct word it
+//! was asked about, so its size is bounded by the vocabulary of the texts
+//! its owner scores (one task's pages, for a query context).
+
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 const DIM: usize = 64;
 
@@ -36,14 +55,15 @@ impl Embedding {
 
     /// Cosine similarity in `[-1, 1]`; 0 when either side is zero.
     pub fn cosine(&self, other: &Embedding) -> f32 {
-        let dot: f32 = self.v.iter().zip(&other.v).map(|(a, b)| a * b).sum();
-        let na: f32 = self.v.iter().map(|a| a * a).sum::<f32>().sqrt();
-        let nb: f32 = other.v.iter().map(|b| b * b).sum::<f32>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            (dot / (na * nb)).clamp(-1.0, 1.0)
-        }
+        cosine_from(self.dot(other), self.norm(), other.norm())
+    }
+
+    fn dot(&self, other: &Embedding) -> f32 {
+        self.v.iter().zip(&other.v).map(|(a, b)| a * b).sum()
+    }
+
+    fn norm(&self) -> f32 {
+        self.v.iter().map(|a| a * a).sum::<f32>().sqrt()
     }
 
     fn add(&mut self, other: &Embedding, weight: f32) {
@@ -53,13 +73,23 @@ impl Embedding {
     }
 
     fn normalize(mut self) -> Self {
-        let n: f32 = self.v.iter().map(|a| a * a).sum::<f32>().sqrt();
+        let n = self.norm();
         if n > 0.0 {
             for a in self.v.iter_mut() {
                 *a /= n;
             }
         }
         self
+    }
+}
+
+/// [`Embedding::cosine`] from its parts, so callers that reuse a norm get
+/// the same bits.
+fn cosine_from(dot: f32, na: f32, nb: f32) -> f32 {
+    if na == 0.0 || nb == 0.0 {
+        0.0
+    } else {
+        (dot / (na * nb)).clamp(-1.0, 1.0)
     }
 }
 
@@ -179,9 +209,17 @@ fn embed_word(word: &str) -> Embedding {
 }
 
 fn embed_phrase_words(words: &[&str]) -> Embedding {
+    sum_normalized(words.iter().map(|w| embed_word(w)))
+}
+
+/// The normalized sum of word vectors, added in order from zero — the one
+/// phrase-embedding arithmetic both the oracle and the kernel use.
+fn sum_normalized<E: std::borrow::Borrow<Embedding>>(
+    vecs: impl IntoIterator<Item = E>,
+) -> Embedding {
     let mut e = Embedding::zero();
-    for w in words {
-        e.add(&embed_word(w), 1.0);
+    for v in vecs {
+        e.add(v.borrow(), 1.0);
     }
     e.normalize()
 }
@@ -232,11 +270,7 @@ pub fn keyword_similarity(text: &str, keyword: &str) -> f32 {
         return 0.0;
     }
     let mut best: f32 = 0.0;
-    let widths = [
-        kw_words.len().saturating_sub(1).max(1),
-        kw_words.len(),
-        kw_words.len() + 1,
-    ];
+    let widths = window_widths(kw_words.len());
     for &w in &widths {
         if w == 0 || w > text_words.len() {
             continue;
@@ -252,12 +286,179 @@ pub fn keyword_similarity(text: &str, keyword: &str) -> f32 {
     best.max(0.0)
 }
 
+/// The window widths a `k`-word keyword is compared at: one word fewer
+/// (at least one), the same, and one more.
+fn window_widths(k: usize) -> [usize; 3] {
+    [k.saturating_sub(1).max(1), k, k + 1]
+}
+
 /// Similarity of `text` against the best-matching keyword in `keywords`.
 pub fn best_keyword_similarity<S: AsRef<str>>(text: &str, keywords: &[S]) -> f32 {
     keywords
         .iter()
         .map(|k| keyword_similarity(text, k.as_ref()))
         .fold(0.0, f32::max)
+}
+
+/// A cache of single-word embeddings, keyed by the lowercased word.
+///
+/// Shared by every [`KeywordMatcher::score`] call of one owner (a query
+/// context). It grows by one vector per distinct word scored and is never
+/// evicted: its size is bounded by the vocabulary of the texts scored
+/// through it. Misses are embedded outside the lock.
+#[derive(Debug, Default)]
+pub struct WordEmbeddings {
+    map: Mutex<HashMap<String, Embedding>>,
+}
+
+impl WordEmbeddings {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Embedding>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The embedding of each word in `words`, in order.
+    fn lookup(&self, words: &[String]) -> Vec<Embedding> {
+        let mut vecs: Vec<Option<Embedding>> = {
+            let map = self.lock();
+            words.iter().map(|w| map.get(w).cloned()).collect()
+        };
+        let mut fresh: HashMap<&str, Embedding> = HashMap::new();
+        for (w, slot) in words.iter().zip(&mut vecs) {
+            if slot.is_none() {
+                let e = fresh.entry(w).or_insert_with(|| embed_word(w));
+                *slot = Some(e.clone());
+            }
+        }
+        if !fresh.is_empty() {
+            let mut map = self.lock();
+            for (w, e) in fresh {
+                map.entry(w.to_string()).or_insert(e);
+            }
+        }
+        vecs.into_iter().flatten().collect()
+    }
+}
+
+/// One keyword compiled for [`KeywordMatcher`].
+#[derive(Debug, Clone)]
+struct CompiledKeyword {
+    /// Stems of the keyword's words, for the containment short-circuit.
+    stems: Vec<String>,
+    /// The keyword's embedding and its norm; `None` when the embedding is
+    /// (numerically) zero, which scores 0 unless the keyword is contained.
+    emb: Option<(Embedding, f32)>,
+    /// [`window_widths`], de-duplicated (ascending).
+    widths: Vec<usize>,
+}
+
+/// A keyword list compiled once for repeated `matchKeyword` scoring: the
+/// kernel behind the DSL's keyword predicate.
+///
+/// [`KeywordMatcher::score`] returns exactly the bits of
+/// [`best_keyword_similarity`] over the same keywords (see the module
+/// docs for how).
+///
+/// # Examples
+///
+/// ```
+/// use webqa_nlp::{best_keyword_similarity, KeywordMatcher, WordEmbeddings};
+///
+/// let kws = ["Service", "PC"];
+/// let matcher = KeywordMatcher::new(&kws);
+/// let cache = WordEmbeddings::new();
+/// let text = "Professional Activities and Committees";
+/// let s = matcher.score(text, &cache);
+/// assert_eq!(s.to_bits(), best_keyword_similarity(text, &kws).to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct KeywordMatcher {
+    /// Keywords with at least one word, in input order.
+    keywords: Vec<CompiledKeyword>,
+    /// The union of every keyword's widths, ascending.
+    widths: Vec<usize>,
+}
+
+impl KeywordMatcher {
+    /// Compiles `keywords`: stems, embedding and window widths of each.
+    pub fn new<S: AsRef<str>>(keywords: &[S]) -> Self {
+        let keywords: Vec<CompiledKeyword> = keywords
+            .iter()
+            .filter_map(|k| {
+                let words = crate::text::lower_words(k.as_ref());
+                if words.is_empty() {
+                    return None;
+                }
+                let emb = embed(k.as_ref());
+                let mut widths = window_widths(words.len()).to_vec();
+                widths.dedup();
+                Some(CompiledKeyword {
+                    stems: words.iter().map(|w| stem(w)).collect(),
+                    emb: (!emb.is_zero()).then(|| {
+                        let n = emb.norm();
+                        (emb, n)
+                    }),
+                    widths,
+                })
+            })
+            .collect();
+        let mut widths: Vec<usize> = keywords.iter().flat_map(|k| k.widths.clone()).collect();
+        widths.sort_unstable();
+        widths.dedup();
+        KeywordMatcher { keywords, widths }
+    }
+
+    /// Similarity of `text` against the best-matching keyword, in `[0, 1]`;
+    /// bit-identical to [`best_keyword_similarity`]. Word vectors come
+    /// from (and missing ones go into) `cache`.
+    pub fn score(&self, text: &str, cache: &WordEmbeddings) -> f32 {
+        if self.keywords.is_empty() {
+            return 0.0;
+        }
+        let words = crate::text::lower_words(text);
+        if words.is_empty() {
+            return 0.0;
+        }
+        // Exact stemmed phrase containment of any keyword → 1.0, the
+        // maximum any keyword can score.
+        let stems: Vec<String> = words.iter().map(|w| stem(w)).collect();
+        if self.keywords.iter().any(|k| {
+            stems
+                .windows(k.stems.len())
+                .any(|w| w == k.stems.as_slice())
+        }) {
+            return 1.0;
+        }
+        let vecs = cache.lookup(&words);
+        // One running best per keyword, updated in the oracle's order:
+        // widths ascending, windows left to right, then the whole text.
+        let mut best = vec![0.0f32; self.keywords.len()];
+        for &w in self.widths.iter().take_while(|&&w| w <= vecs.len()) {
+            for window in vecs.windows(w) {
+                let e = sum_normalized(window);
+                let ne = e.norm();
+                for (k, b) in self.keywords.iter().zip(&mut best) {
+                    if let Some((kw, nk)) = &k.emb {
+                        if k.widths.contains(&w) {
+                            *b = b.max(cosine_from(kw.dot(&e), *nk, ne));
+                        }
+                    }
+                }
+            }
+        }
+        let whole = sum_normalized(&vecs);
+        let nw = whole.norm();
+        for (k, b) in self.keywords.iter().zip(&mut best) {
+            if let Some((kw, nk)) = &k.emb {
+                *b = b.max(cosine_from(kw.dot(&whole), *nk, nw)).max(0.0);
+            }
+        }
+        best.into_iter().fold(0.0, f32::max)
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +531,22 @@ mod tests {
         let z = Embedding::zero();
         assert!(z.is_zero());
         assert_eq!(z.cosine(&embed("x")), 0.0);
+    }
+
+    #[test]
+    fn word_cache_holds_each_distinct_word_once() {
+        let matcher = KeywordMatcher::new(&["Insurance"]);
+        let cache = WordEmbeddings::new();
+        let text = "Our Services, our services and Teaching";
+        assert!(matcher.score(text, &cache) < 1.0);
+        // "our", "services", "and", "teaching": case-folded, repeats once.
+        assert_eq!(cache.lock().len(), 4);
+        matcher.score(text, &cache);
+        assert_eq!(cache.lock().len(), 4);
+        // A containment hit never embeds the text.
+        let hit = WordEmbeddings::new();
+        assert_eq!(matcher.score("Insurance Plans", &hit), 1.0);
+        assert_eq!(hit.lock().len(), 0);
     }
 
     #[test]

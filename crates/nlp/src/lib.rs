@@ -6,7 +6,8 @@
 //! * **Keyword matching** (`matchKeyword(z, K, t)`):
 //!   [`keyword_similarity`] / [`best_keyword_similarity`], built on hashed
 //!   character-trigram embeddings plus a synonym table — the stand-in for
-//!   Sentence-BERT.
+//!   Sentence-BERT. [`KeywordMatcher`] is the bit-identical kernel that
+//!   embeds each word once (through a [`WordEmbeddings`] cache).
 //! * **Question answering** (`hasAnswer(z, Q)`): [`QaModel`], a
 //!   deterministic extractive span scorer — the stand-in for BERT-SQuAD.
 //! * **Entity extraction** (`hasEntity(z, l)`): [`EntityRecognizer`], a
@@ -37,6 +38,8 @@ mod ner;
 mod qa;
 pub mod text;
 
-pub use embedding::{best_keyword_similarity, embed, keyword_similarity, Embedding};
+pub use embedding::{
+    best_keyword_similarity, embed, keyword_similarity, Embedding, KeywordMatcher, WordEmbeddings,
+};
 pub use ner::{Entity, EntityKind, EntityRecognizer};
 pub use qa::{AnswerType, QaAnswer, QaModel};

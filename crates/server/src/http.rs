@@ -303,17 +303,17 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response; returns whether the full write succeeded.
+/// Writes one response, head and body in one write (see
+/// `ConnWriter::write_line`); returns whether the full write succeeded.
 fn write_http(stream: &mut TcpStream, status: u16, body: &str, close: bool) -> bool {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n",
+    let frame = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n{body}",
         reason(status),
         body.len(),
         if close { "Connection: close\r\n" } else { "" },
     );
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
+        .write_all(frame.as_bytes())
         .and_then(|()| stream.flush())
         .is_ok()
 }
@@ -535,16 +535,17 @@ impl HttpClient {
     /// Transport errors, or [`io::ErrorKind::InvalidData`] when the
     /// server's response cannot be parsed.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        let head = if body.is_empty() {
+        // Head and body in one write, so the body does not wait on the
+        // server's delayed ACK.
+        let frame = if body.is_empty() {
             format!("{method} {path} HTTP/1.1\r\n\r\n")
         } else {
             format!(
-                "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+                "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
             )
         };
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body.as_bytes())?;
+        self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()?;
         self.read_response()
     }

@@ -464,8 +464,12 @@ impl Client {
     /// pipelining primitive. Responses come back in completion order;
     /// pair ids from [`Client::read_response_line`] to correlate.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per frame, so the newline does not wait on the
+        // server's delayed ACK.
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)?;
         self.writer.flush()
     }
 

@@ -45,14 +45,16 @@ impl ConnWriter {
     }
 
     /// Writes one response line (newline appended) atomically w.r.t.
-    /// other lines on this connection. Returns whether the full line
+    /// other lines on this connection, in one write: a line split over
+    /// two writes on a socket without `TCP_NODELAY` leaves its tail
+    /// waiting for the peer's delayed ACK. Returns whether the full line
     /// reached the transport.
     pub(crate) fn write_line(&self, line: &str) -> bool {
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
         let mut w = relock(self.writer.lock());
-        w.write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .and_then(|()| w.flush())
-            .is_ok()
+        w.write_all(&frame).and_then(|()| w.flush()).is_ok()
     }
 }
 
